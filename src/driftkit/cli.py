@@ -41,74 +41,62 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser):
+    """Add the run options every analysis subcommand shares.
+
+    Each option's dest is recorded as a config key, so every flag added here
+    reaches build_config as an override.
+    """
     parser.add_argument("--config", help="key = value config file; flags override it")
-    parser.add_argument("--input", help="event log CSV")
-    parser.add_argument("--catalog", help="item_key,canonical_id mapping from `canon`")
-    parser.add_argument("--output-dir", dest="output_dir", help="output directory")
-    parser.add_argument("--granularity", choices=("week", "month", "quarter"))
-    parser.add_argument("--window-start", dest="window_start")
-    parser.add_argument("--window-end", dest="window_end")
-    parser.add_argument(
+    keys = []
+
+    def add(*flags, **kwargs):
+        keys.append(parser.add_argument(*flags, **kwargs).dest)
+
+    add("--input", help="event log CSV")
+    add("--catalog", help="item_key,canonical_id mapping from `canon`")
+    add("--output-dir", dest="output_dir", help="output directory")
+    add("--granularity", choices=("week", "month", "quarter"))
+    add("--window-start", dest="window_start")
+    add("--window-end", dest="window_end")
+    add(
         "--exclude",
         action="append",
         default=None,
         metavar="START:END",
         help="date range to drop (repeatable), e.g. lockdown months",
     )
-    parser.add_argument("--sex")
-    parser.add_argument("--education")
-    parser.add_argument("--residence")
-    parser.add_argument("--category", help="comma-separated category filter")
-    parser.add_argument("--age-range", dest="age_range", metavar="LO-HI")
-    parser.add_argument(
+    add("--sex")
+    add("--education")
+    add("--residence")
+    add("--category", help="comma-separated category filter")
+    add("--age-range", dest="age_range", metavar="LO-HI")
+    add(
         "--age-bins",
         dest="age_bins",
         metavar="LO-HI,...",
         help="cohort age bands for per-age sweeps (default 0-18,18-30,30-46,46-65,65-)",
     )
-    parser.add_argument("--measure", choices=("jsd", "jsd_alpha", "jaccard"))
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--estimator", choices=("plugin", "bootstrap"))
-    parser.add_argument("--resamples", type=int, help="bootstrap resamples (default 500)")
-    parser.add_argument("--seed", type=int, help="root seed for all randomness")
-    parser.add_argument(
+    add("--measure", choices=("jsd", "jsd_alpha", "jaccard"))
+    add("--alpha", type=float)
+    add("--estimator", choices=("plugin", "bootstrap"))
+    add("--resamples", type=int, help="bootstrap resamples (default 500)")
+    add("--seed", type=int, help="root seed for all randomness")
+    add(
         "--top-k",
         dest="top_k",
         type=int,
         help=f"restrict to the K most loaned items (default {DEFAULT_TOP_K}, 0 disables)",
     )
-    parser.add_argument("--jobs", type=int, help="parallel matrix cells; never affects results")
-    parser.add_argument(
+    add("--jobs", type=int, help="parallel matrix cells; never affects results")
+    add(
         "--max-malformed-fraction", dest="max_malformed_fraction", type=float
     )
+    parser.set_defaults(config_keys=tuple(keys))
 
 
 def _config_from_args(args) -> RunConfig:
     raw = load_config(args.config) if args.config else {}
-    keys = (
-        "input",
-        "catalog",
-        "output_dir",
-        "granularity",
-        "window_start",
-        "window_end",
-        "exclude",
-        "sex",
-        "education",
-        "residence",
-        "category",
-        "age_range",
-        "age_bins",
-        "measure",
-        "alpha",
-        "estimator",
-        "resamples",
-        "seed",
-        "top_k",
-        "jobs",
-        "max_malformed_fraction",
-    )
-    overrides = {k: getattr(args, k, None) for k in keys}
+    overrides = {k: getattr(args, k) for k in args.config_keys}
     return build_config(raw, overrides)
 
 

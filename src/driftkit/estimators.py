@@ -7,6 +7,11 @@ the mean resampled divergence minus the plug-in value as the bias estimate,
 and reports 2 * plugin - mean(resamples), clamped to [0, 1]. Resample b draws
 from a child seed spawned as (seed, b), so results do not depend on execution
 order and are a pure function of (counts, n_resamples, seed).
+
+No divergence formula lives here. The plug-in value comes from
+``divergence_of`` (the dict API, exact fsum summation) and each resample from
+``divergence_of_arrays``; both run the same kernel in divergence.py and differ
+only in summation, so the bias correction subtracts like from like.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DriftValue, Measure, divergence_of
+from .divergence import DriftValue, Measure, _aligned, divergence_of, divergence_of_arrays
 from .popularity import PopularityDistribution, normalize
 
 DEFAULT_RESAMPLES = 500
@@ -57,56 +62,6 @@ def plugin_jsd(A: PopularityDistribution, B: PopularityDistribution) -> DriftVal
     return plugin_divergence(A, B, Measure("jsd"))
 
 
-def _aligned_counts(A: PopularityDistribution, B: PopularityDistribution):
-    ids = list(A.counts)
-    ids.extend(k for k in B.counts if k not in A.counts)
-    n = len(ids)
-    ca = np.fromiter((A.counts.get(k, 0) for k in ids), dtype=np.int64, count=n)
-    cb = np.fromiter((B.counts.get(k, 0) for k in ids), dtype=np.int64, count=n)
-    return ca, cb
-
-
-def _measure_from_counts(measure: Measure, ca: np.ndarray, cb: np.ndarray) -> float:
-    """Vectorized divergence of two aligned count vectors (resampling hot path)."""
-    p = ca / ca.sum()
-    q = cb / cb.sum()
-    if measure.kind == "jaccard":
-        sp = p > 0.0
-        sq = q > 0.0
-        inter = np.count_nonzero(sp & sq)
-        union = np.count_nonzero(sp | sq)
-        return 1.0 - inter / union
-    if measure.kind == "jsd_alpha":
-        alpha = measure.alpha
-        if alpha == 0.0:
-            np_s = np.count_nonzero(p)
-            nq_s = np.count_nonzero(q)
-            inter = np.count_nonzero((p > 0.0) & (q > 0.0))
-            return 1.0 - 2.0 * inter / (np_s + nq_s)
-        if alpha == 1.0:
-            return _jsd_bits_fast(p, q)
-        m = 0.5 * (p + q)
-        ha_p = (np.sum(p[p > 0.0] ** alpha) - 1.0) / (1.0 - alpha)
-        ha_q = (np.sum(q[q > 0.0] ** alpha) - 1.0) / (1.0 - alpha)
-        ha_m = (np.sum(m[m > 0.0] ** alpha) - 1.0) / (1.0 - alpha)
-        numerator = ha_m - 0.5 * (ha_p + ha_q)
-        if numerator <= 0.0:
-            return 0.0
-        maximum = 0.5 * (2.0 ** (1.0 - alpha) - 1.0) * (ha_p + ha_q + 2.0 / (1.0 - alpha))
-        return float(min(max(numerator / maximum, 0.0), 1.0))
-    return _jsd_bits_fast(p, q)
-
-
-def _jsd_bits_fast(p: np.ndarray, q: np.ndarray) -> float:
-    s = p + q
-    safe = np.where(s > 0.0, s, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tp = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, 2.0 * p / safe, 1.0)), 0.0)
-        tq = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, 2.0 * q / safe, 1.0)), 0.0)
-    value = 0.5 * float(np.sum(tp) + np.sum(tq))
-    return min(max(value, 0.0), 1.0)
-
-
 def bootstrap_divergence(
     A: PopularityDistribution,
     B: PopularityDistribution,
@@ -121,7 +76,7 @@ def bootstrap_divergence(
         raise ValueError("n_resamples must be >= 2")
 
     plugin = plugin_divergence(A, B, measure).value
-    ca, cb = _aligned_counts(A, B)
+    _, ca, cb = _aligned(A.counts, B.counts)
     pa = ca / A.total
     pb = cb / B.total
 
@@ -131,7 +86,7 @@ def bootstrap_divergence(
         rng = np.random.default_rng(child)
         ra = rng.multinomial(A.total, pa)
         rb = rng.multinomial(B.total, pb)
-        values[b] = _measure_from_counts(measure, ra, rb)
+        values[b] = divergence_of_arrays(measure, ra / A.total, rb / B.total)
 
     resample_mean = float(values.mean())
     corrected = min(max(2.0 * plugin - resample_mean, 0.0), 1.0)

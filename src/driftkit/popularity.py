@@ -27,10 +27,6 @@ class PopularityDistribution:
     def support(self) -> set[str]:
         return set(self.counts)
 
-    @classmethod
-    def from_counts(cls, bin: TimeBin, counts: dict[str, int], cohort: str = "all"):
-        return cls(bin, cohort, dict(counts), sum(counts.values()))
-
 
 @dataclass
 class RelativeDistribution:

@@ -245,19 +245,29 @@ def _build_truth(spec: SynthMarketSpec):
     return truth, bins_ss, pool_ss, cat_ss
 
 
+def _sampled_bins(spec: SynthMarketSpec, truth: GroundTruth, bins_ss):
+    """Per bin, its multinomial loan tallies from the bin's own child seed.
+
+    Yields the tallies as a distribution, the drawn items' indices and counts,
+    and the seed reserved for the bin's event details.
+    """
+    for i, child in enumerate(bins_ss.spawn(spec.n_bins)):
+        sample_ss, events_ss = child.spawn(2)
+        counts = np.random.default_rng(sample_ss).multinomial(
+            spec.loans_per_bin, truth.weights[i]
+        )
+        nz = np.flatnonzero(counts)
+        items, item_counts = truth.occupants[i][nz], counts[nz]
+        ids = [item_id(x) for x in items.tolist()]
+        table = dict(zip(ids, item_counts.tolist()))
+        dist = PopularityDistribution(truth.bins[i], "all", table, spec.loans_per_bin)
+        yield dist, items, item_counts, events_ss
+
+
 def sample_counts(spec: SynthMarketSpec) -> tuple[list[PopularityDistribution], GroundTruth]:
     """Multinomial loan tallies per bin, alongside the exact truth."""
     truth, bins_ss, _, _ = _build_truth(spec)
-    children = bins_ss.spawn(spec.n_bins)
-    dists = []
-    for i, b in enumerate(truth.bins):
-        sample_ss = children[i].spawn(2)[0]
-        rng = np.random.default_rng(sample_ss)
-        counts = rng.multinomial(spec.loans_per_bin, truth.weights[i])
-        nz = np.flatnonzero(counts)
-        ids = [item_id(x) for x in truth.occupants[i][nz].tolist()]
-        table = dict(zip(ids, counts[nz].tolist()))
-        dists.append(PopularityDistribution(b, "all", table, spec.loans_per_bin))
+    dists = [dist for dist, *_ in _sampled_bins(spec, truth, bins_ss)]
     return dists, truth
 
 
@@ -330,7 +340,6 @@ def generate(
             id_cache[idx] = got
         return got
 
-    children = bins_ss.spawn(spec.n_bins)
     events_path = Path(events_path)
     dists = []
     with open(events_path, "w", encoding="utf-8", newline="") as fh:
@@ -350,22 +359,12 @@ def generate(
                 "residence",
             ]
         )
-        for i, b in enumerate(truth.bins):
-            sample_ss, events_ss = children[i].spawn(2)
-            rng = np.random.default_rng(sample_ss)
-            counts = rng.multinomial(spec.loans_per_bin, truth.weights[i])
-            nz = np.flatnonzero(counts)
-            occ_nz = truth.occupants[i][nz]
-            ids = [item_id(x) for x in occ_nz.tolist()]
-            dists.append(
-                PopularityDistribution(
-                    b, "all", dict(zip(ids, counts[nz].tolist())), spec.loans_per_bin
-                )
-            )
-
+        for dist, drawn, drawn_counts, events_ss in _sampled_bins(spec, truth, bins_ss):
+            dists.append(dist)
+            b = dist.bin
             ev_rng = np.random.default_rng(events_ss)
             n = spec.loans_per_bin
-            items = np.repeat(occ_nz, counts[nz])
+            items = np.repeat(drawn, drawn_counts)
             items = items[ev_rng.permutation(n)]
             n_days = (b.end - b.start).days
             days = ev_rng.integers(0, n_days, size=n)

@@ -30,12 +30,6 @@ def write_series(path: Path, series: DriftSeries):
             )
 
 
-def read_series_values(path: Path) -> list[tuple[str, float]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [(row["bin_start"], float(row["value"])) for row in reader]
-
-
 def write_matrix(path: Path, matrix: DriftMatrix):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -95,6 +95,38 @@ class TestGoldenFixture:
         got = (tmp_path / "drift_local.csv").read_bytes()
         assert got == (GOLDEN / "drift_local.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "golden, flags",
+        [
+            ("drift_local_jsd_alpha2.csv", ("--measure", "jsd_alpha", "--alpha", "2")),
+            ("drift_local_jaccard.csv", ("--measure", "jaccard")),
+        ],
+    )
+    def test_other_measures_match_golden(self, tmp_path, golden, flags):
+        code = run(
+            "drift", "local", "--input", str(FIXTURE), "--output-dir", str(tmp_path),
+            "--top-k", "0", *flags,
+        )
+        assert code == 0
+        assert (tmp_path / "drift_local.csv").read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_bootstrap_matches_golden(self, tmp_path):
+        # resamples are summed with np.sum, so the last bits may move with the
+        # kernel's reduction order; bin labels must match exactly
+        code = run(
+            "drift", "local", "--input", str(FIXTURE), "--output-dir", str(tmp_path),
+            "--top-k", "0", "--estimator", "bootstrap", "--resamples", "50", "--seed", "5",
+        )
+        assert code == 0
+        with open(tmp_path / "drift_local.csv", newline="") as fh:
+            got = list(csv.DictReader(fh))
+        with open(GOLDEN / "drift_local_bootstrap.csv", newline="") as fh:
+            want = list(csv.DictReader(fh))
+        assert [r["bin_start"] for r in got] == [r["bin_start"] for r in want]
+        for g, w in zip(got, want):
+            for column in ("value", "std_error"):
+                assert abs(float(g[column]) - float(w[column])) <= 1e-12
+
     def test_repeated_runs_byte_identical(self, tmp_path):
         args = (
             "drift", "local", "--input", str(FIXTURE), "--output-dir", str(tmp_path),

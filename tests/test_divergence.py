@@ -268,3 +268,13 @@ class TestMeasureDispatch:
             Measure("kl")
         with pytest.raises(ValueError):
             Measure("jsd_alpha")
+
+    @pytest.mark.parametrize(
+        "measure", [Measure("jsd"), Measure("jaccard"), Measure("jsd_alpha", 0.0)]
+    )
+    def test_empty_support_rejected(self, measure):
+        for P, Q in (({}, POINT), ({"a": 0.0}, POINT), (POINT, {"b": 0.0})):
+            with pytest.raises(ValueError, match="non-empty support"):
+                divergence_of(measure, P, Q)
+            with pytest.raises(ValueError, match="non-empty support"):
+                jsd_with_contributions(P, Q)
