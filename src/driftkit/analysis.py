@@ -1,26 +1,34 @@
-"""Drift analyses over binned distributions: series, matrices, contribution groups."""
+"""Drift analyses over binned distributions: series, matrices, contribution groups.
+
+Contribution groups band the ranking that ``jsd_with_contributions`` builds
+(descending partial, then descending combined share p + q, then id) into
+ranks 1-100, 101-1K, 1K-10K, 10K-50K and the rest. The bands are defined
+here and nowhere else: ``DEFAULT_GROUP_BOUNDS``, ``N_GROUPS`` and
+``group_of_rank``.
+"""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
-from .divergence import (
-    DEFAULT_GROUP_BOUNDS,
-    ContributionBreakdown,
-    Measure,
-    divergence_of,
-    jsd_with_contributions,
-)
+from .divergence import ContributionBreakdown, Measure, divergence_of, jsd_with_contributions
 from .estimators import Estimator, bootstrap_divergence
 from .events import TimeBin, bin_from_index
 from .popularity import PopularityDistribution, normalize
 
+DEFAULT_GROUP_BOUNDS = (100, 1000, 10000, 50000)
 N_GROUPS = len(DEFAULT_GROUP_BOUNDS) + 1
+
+
+def group_of_rank(rank: int) -> int:
+    """1-based rank to 1-based contribution group."""
+    return bisect_left(DEFAULT_GROUP_BOUNDS, rank) + 1
 
 
 @dataclass(frozen=True)
@@ -166,24 +174,17 @@ def contribution_groups(
 ) -> tuple[ContributionBreakdown, dict[str, int], list[float]]:
     """Rank items by their partial JSD for one bin pair and band them into groups.
 
-    Only items with at least one loan in the pair take part. Ranking ties
-    break by higher combined loans, then item id. Group shares are each
-    band's slice of the total JSD; they sum to one whenever the pair
-    actually drifted, and are all zero for identical distributions.
+    Only items with at least one loan in the pair take part, in the order of
+    ``breakdown.ranking``. Group shares are each band's slice of the total
+    JSD; they sum to one whenever the pair actually drifted, and are all
+    zero for identical distributions.
     """
     _, breakdown = jsd_with_contributions(normalize(A), normalize(B), A.total, B.total)
-    partials = breakdown.partials
-    a_counts, b_counts = A.counts, B.counts
-    ranking = sorted(
-        partials,
-        key=lambda k: (-partials[k], -(a_counts.get(k, 0) + b_counts.get(k, 0)), k),
-    )
-    breakdown.ranking = ranking
-    groups = {item: breakdown.group_of_rank(r) for r, item in enumerate(ranking, start=1)}
+    groups = {item: group_of_rank(r) for r, item in enumerate(breakdown.ranking, start=1)}
     if breakdown.total_bits > 0.0:
         per_group = [[] for _ in range(N_GROUPS)]
         for item, g in groups.items():
-            per_group[g - 1].append(partials[item])
+            per_group[g - 1].append(breakdown.partials[item])
         shares = [math.fsum(vals) / breakdown.total_bits for vals in per_group]
     else:
         shares = [0.0] * N_GROUPS

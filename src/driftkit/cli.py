@@ -10,6 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -96,6 +97,9 @@ def _add_common(parser: argparse.ArgumentParser):
 
 def _config_from_args(args) -> RunConfig:
     raw = load_config(args.config) if args.config else {}
+    unknown = [k for k in raw if k not in args.config_keys]
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     overrides = {k: getattr(args, k) for k in args.config_keys}
     return build_config(raw, overrides)
 
@@ -363,19 +367,8 @@ def cmd_synth(args) -> int:
     events_path = out / "events.csv"
     truth_path = out / "truth.csv" if args.truth else None
     synthmarket.generate(spec, events_path, truth_path)
-    manifest = {
-        "catalog_size": spec.catalog_size,
-        "zipf_exponent": spec.zipf_exponent,
-        "monthly_churn": spec.monthly_churn,
-        "seasonal_fraction": spec.seasonal_fraction,
-        "seasonal_multiplier": spec.seasonal_multiplier,
-        "seasonal_months": list(spec.seasonal_months),
-        "loans_per_bin": spec.loans_per_bin,
-        "n_bins": spec.n_bins,
-        "start": spec.start.isoformat(),
-        "n_loaners": spec.n_loaners,
-        "seed": spec.seed,
-    }
+    manifest = dataclasses.asdict(spec)
+    manifest["start"] = spec.start.isoformat()
     outputs = [events_path] + ([truth_path] if truth_path else [])
     tabular.write_manifest(out / "manifest.json", "synth", manifest, [p.name for p in outputs])
     print(f"wrote {events_path} ({spec.loans_per_bin * spec.n_bins} events)")

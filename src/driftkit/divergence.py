@@ -22,6 +22,11 @@ bit-exactly and pinned outputs stay byte-identical. Bootstrap resamples go
 through ``divergence_of_arrays``, which sums with np.sum (its docstring says
 why). Inputs can be RelativeDistribution objects or plain mappings of item id
 to probability.
+
+``jsd_with_contributions`` ranks the items once, where it computes their
+partials, by the one ranking rule: descending partial, then descending
+combined share p + q, then id. The rank bands that turn the ranking into
+contribution groups live in ``analysis``.
 """
 
 from __future__ import annotations
@@ -29,14 +34,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
 
 JSD_BITS = "jsd_bits"
 JACCARD = "jaccard"
-
-DEFAULT_GROUP_BOUNDS = (100, 1000, 10000, 50000)
 
 
 def alpha_label(alpha: float) -> str:
@@ -81,45 +85,19 @@ class DriftValue:
     n_right: int | None = None
 
 
+@dataclass(frozen=True)
 class ContributionBreakdown:
     """Per-item partial JSD in bits, plus the ranking they induce.
 
-    ``total_bits`` is the exact sum of the partials; ``ranking`` lists item
-    ids by descending partial (ties by id) and is computed on first access.
-    Group bounds are the rank bands used for contribution-group analysis
-    (1-100, 101-1K, 1K-10K, 10K-50K, rest).
+    ``total_bits`` is the exact sum of the partials. ``ranking`` lists the
+    item ids in the order of the one ranking rule (module docstring);
+    ``jsd_with_contributions`` builds it once, and every contribution-group
+    analysis reads it.
     """
 
-    def __init__(
-        self,
-        partials: dict[str, float],
-        total_bits: float,
-        group_bounds: tuple[int, ...] = DEFAULT_GROUP_BOUNDS,
-        ranking: list[str] | None = None,
-    ):
-        self.partials = partials
-        self.total_bits = total_bits
-        self.group_bounds = group_bounds
-        self._ranking = ranking
-
-    @property
-    def ranking(self) -> list[str]:
-        if self._ranking is None:
-            ids = list(self.partials)
-            parts = np.fromiter(self.partials.values(), dtype=np.float64, count=len(ids))
-            self._ranking = _ranked_ids(ids, parts)
-        return self._ranking
-
-    @ranking.setter
-    def ranking(self, value: list[str]):
-        self._ranking = value
-
-    def group_of_rank(self, rank: int) -> int:
-        """1-based rank to 1-based group number."""
-        for g, bound in enumerate(self.group_bounds, start=1):
-            if rank <= bound:
-                return g
-        return len(self.group_bounds) + 1
+    partials: dict[str, float]
+    total_bits: float
+    ranking: list[str]
 
 
 def _probs(dist) -> Mapping[str, float]:
@@ -134,7 +112,7 @@ def _aligned(p_map: Mapping[str, float], q_map: Mapping[str, float]):
     ids.extend(extra)
     p = np.zeros(n, dtype=np.float64)
     p[:n_p] = np.fromiter(p_map.values(), dtype=np.float64, count=n_p)
-    q = np.fromiter((q_map.get(k, 0.0) for k in ids), dtype=np.float64, count=n)
+    q = np.fromiter(map(q_map.get, ids, repeat(0.0)), dtype=np.float64, count=n)
     if not (p.any() and q.any()):
         raise ValueError("divergence needs two distributions with non-empty support")
     return ids, p, q
@@ -182,21 +160,6 @@ def _partial_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum(0.5 * (tp + tq), 0.0)
 
 
-def _ranked_ids(ids: list, parts: np.ndarray) -> list:
-    """Item ids by descending partial, ties resolved by id."""
-    order = np.argsort(-parts, kind="stable")
-    ranked = [ids[i] for i in order.tolist()]
-    if len(ranked) > 1:
-        values = parts[order]
-        bounds = np.flatnonzero(np.diff(values) != 0.0)
-        starts = np.concatenate(([0], bounds + 1))
-        ends = np.concatenate((bounds + 1, [len(ranked)]))
-        for j in np.flatnonzero(ends - starts > 1).tolist():
-            s, e = int(starts[j]), int(ends[j])
-            ranked[s:e] = sorted(ranked[s:e])
-    return ranked
-
-
 def jsd_with_contributions(
     P, Q, n_left: int | None = None, n_right: int | None = None
 ) -> tuple[DriftValue, ContributionBreakdown]:
@@ -205,17 +168,36 @@ def jsd_with_contributions(
     The returned DriftValue is the entropy-form JSD; the breakdown's
     ``total_bits`` is the exact partial sum. The two agree to ~1e-15.
     Items carrying no mass in either input contribute nothing and are
-    excluded. Ranking ties break by item id.
+    excluded. The ranking follows the one ranking rule; ids compare as
+    Python strings, because numpy's string sort treats trailing NULs
+    differently.
     """
     ids, p, q = _aligned(_probs(P), _probs(Q))
     parts = _partial_terms(p, q)
-    partials = dict(zip(ids, parts.tolist()))
-    total = math.fsum(parts.tolist())
-    value = _jsd_bits_from_arrays(p, q, _fsum)
-    return (
-        DriftValue(value, JSD_BITS, n_left, n_right),
-        ContributionBreakdown(partials, total),
+    # Every call pays for the ranking, so a fast unstable sort by partial
+    # places the items whose partial is unique, and one lexsort puts only the
+    # runs of equal partials in the rule's order. A lexsort of all items, each
+    # with an id rank, took about 4x as long on random 10k-item pairs (2-core
+    # x86 host) and pushed acceptance criterion 1 past its time limit.
+    names = np.array(ids, dtype=object)
+    order = np.argsort(-parts)
+    ranked = parts[order]
+    equal = ranked[1:] == ranked[:-1]
+    tied = np.zeros(len(ids), dtype=bool)
+    tied[1:] = equal
+    tied[:-1] |= equal
+    if tied.any():
+        sub = order[tied]
+        sub_ids = names[sub].tolist()
+        id_rank = np.empty(len(sub_ids), dtype=np.intp)
+        id_rank[sorted(range(len(sub_ids)), key=sub_ids.__getitem__)] = np.arange(len(sub_ids))
+        order[tied] = sub[np.lexsort((id_rank, -(p + q)[sub], -parts[sub]))]
+    values = parts.tolist()
+    breakdown = ContributionBreakdown(
+        dict(zip(ids, values)), math.fsum(values), names[order].tolist()
     )
+    value = _jsd_bits_from_arrays(p, q, _fsum)
+    return DriftValue(value, JSD_BITS, n_left, n_right), breakdown
 
 
 def _tsallis_from_array(p: np.ndarray, alpha: float, total) -> float:

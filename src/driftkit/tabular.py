@@ -10,10 +10,12 @@ import csv
 import json
 from pathlib import Path
 
-from .analysis import DriftMatrix, DriftSeries, TrajectoryPanel
+from .analysis import N_GROUPS, DriftMatrix, DriftSeries, TrajectoryPanel
 from .divergence import ContributionBreakdown
 from .forecast import ForecastReport
 from .popularity import PopularityDistribution
+
+GROUP_LABELS = [f"g{g}" for g in range(1, N_GROUPS + 1)]
 
 
 def _fmt(x: float) -> str:
@@ -41,17 +43,16 @@ def write_matrix(path: Path, matrix: DriftMatrix):
 def write_group_shares(path: Path, rows: list[tuple[str, list[float]]]):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bin_start", "g1", "g2", "g3", "g4", "g5"])
+        writer.writerow(["bin_start"] + GROUP_LABELS)
         for label, shares in rows:
             writer.writerow([label] + [_fmt(s) for s in shares])
 
 
 def write_transitions(path: Path, matrix):
-    labels = ["g1", "g2", "g3", "g4", "g5"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["group"] + labels)
-        for label, row in zip(labels, matrix):
+        writer.writerow(["group"] + GROUP_LABELS)
+        for label, row in zip(GROUP_LABELS, matrix):
             writer.writerow([label] + [_fmt(v) for v in row])
 
 

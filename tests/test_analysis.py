@@ -11,6 +11,7 @@ from driftkit.analysis import (
     contribution_groups,
     drift_matrix,
     global_drift,
+    group_of_rank,
     local_drift,
     trajectory_panel,
     transition_matrix,
@@ -153,15 +154,37 @@ class TestContributionGroups:
         assert shares[0] == pytest.approx(100 / 300, abs=1e-12)
         assert shares[1] == pytest.approx(200 / 300, abs=1e-12)
 
-    def test_ties_break_by_loans_then_id(self):
-        # b and c swap the same mass; c has more combined loans
-        a = dist({"a": 10, "b": 4, "c": 90, "z": 6})
-        b = dist({"a": 10, "b": 6, "c": 88, "z": 6}, month=2)
+    def test_zero_partial_ties_break_by_combined_share_then_id(self):
+        # y, z, a, b keep their share, so their partials are all 0.0; g and h
+        # swap the same mass between disjoint supports and tie exactly
+        a = dist({"a": 10, "b": 10, "y": 20, "z": 30, "g": 30})
+        b = dist({"a": 10, "b": 10, "y": 20, "z": 30, "h": 30}, month=2)
         breakdown, _, _ = contribution_groups(a, b)
         partials = breakdown.partials
-        tied = [k for k in ("b", "c") if partials["b"] == partials["c"]]
-        if tied:  # when exactly tied, higher-loan item first
-            assert breakdown.ranking.index("c") < breakdown.ranking.index("b")
+        assert {partials[k] for k in "abyz"} == {0.0}
+        assert partials["g"] == partials["h"] > 0.0
+        assert breakdown.ranking == ["g", "h", "z", "y", "a", "b"]
+
+    def test_swapped_shares_tie_break_by_id(self):
+        # b and c swap shares 0.2 <-> 0.1 between bins of unequal totals: their
+        # partials and combined shares tie exactly, so the id decides, even
+        # though c has more loans (50 against 40)
+        a = dist({"b": 20, "c": 10, "k": 70})
+        b = dist({"b": 20, "c": 40, "k": 140}, month=2)
+        breakdown, _, _ = contribution_groups(a, b)
+        partials = breakdown.partials
+        assert partials["b"] == partials["c"] > 0.0
+        assert partials["k"] == 0.0
+        assert breakdown.ranking == ["b", "c", "k"]
+
+    def test_group_bounds(self):
+        assert group_of_rank(1) == 1
+        assert group_of_rank(100) == 1
+        assert group_of_rank(101) == 2
+        assert group_of_rank(1000) == 2
+        assert group_of_rank(10_000) == 3
+        assert group_of_rank(50_000) == 4
+        assert group_of_rank(50_001) == 5
 
 
 class TestTransitions:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from datetime import date
 from pathlib import Path
@@ -10,6 +11,7 @@ from driftkit.synthmarket import SynthMarketSpec, generate
 
 FIXTURE = Path(__file__).parent / "fixtures" / "events_1k.csv"
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_drift_local"
+GOLDEN_ANALYSIS = Path(__file__).parent / "fixtures" / "golden_analysis"
 
 
 def run(*argv):
@@ -127,6 +129,27 @@ class TestGoldenFixture:
             for column in ("value", "std_error"):
                 assert abs(float(g[column]) - float(w[column])) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (
+                ("contrib", "--kind", "local", "--dump-pair", "2022-03-01"),
+                ("contributions_2022-03-01.csv", "group_shares_local.csv"),
+            ),
+            (("transitions",), ("transitions.csv",)),
+            (
+                ("trajectories", "--selector", "top_global_contrib", "--at", "2022-04-01",
+                 "--k", "50"),
+                ("trajectories.csv",),
+            ),
+        ],
+    )
+    def test_decomposition_matches_golden(self, tmp_path, argv, outputs):
+        code = run(*argv, "--input", str(FIXTURE), "--output-dir", str(tmp_path))
+        assert code == 0
+        for name in outputs:
+            assert (tmp_path / name).read_bytes() == (GOLDEN_ANALYSIS / name).read_bytes()
+
     def test_repeated_runs_byte_identical(self, tmp_path):
         args = (
             "drift", "local", "--input", str(FIXTURE), "--output-dir", str(tmp_path),
@@ -159,6 +182,15 @@ class TestExitCodes:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("granularity = fortnight\n")
         assert run("drift", "local", "--config", str(cfg)) == 1
+
+    def test_unknown_config_key_is_usage_error(self, static_log, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {static_log}\ntop-k = 0\ngranularty = week\n")
+        code = run("drift", "local", "--config", str(cfg), "--output-dir", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith("unknown config keys: top-k, granularty")
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:
@@ -298,6 +330,18 @@ class TestSynthCommand:
         assert (tmp_path / "truth.csv").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["subcommand"] == "synth"
+
+    def test_synth_manifest_records_full_spec(self, tmp_path):
+        code = run(
+            "synth", "--out", str(tmp_path), "--catalog-size", "50", "--churn", "0.0",
+            "--seasonal-fraction", "0.0", "--loans-per-bin", "100", "--bins", "2",
+            "--loaners", "20", "--start", "2021-03-01",
+        )
+        assert code == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert set(config) == {f.name for f in dataclasses.fields(SynthMarketSpec)}
+        assert config["start"] == "2021-03-01"
+        assert config["seasonal_rank_range"] == list(SynthMarketSpec().seasonal_rank_range)
 
     def test_synth_invalid_params_usage_error(self, tmp_path):
         assert run("synth", "--out", str(tmp_path), "--churn", "2.0") == 1

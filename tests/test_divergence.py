@@ -103,16 +103,6 @@ class TestContributions:
         # a, b, c, d all share the same partial; ties resolve by id
         assert br.ranking[:4] == ["a", "b", "c", "d"]
 
-    def test_group_bounds(self):
-        _, br = jsd_with_contributions(POINT, HALF)
-        assert br.group_of_rank(1) == 1
-        assert br.group_of_rank(100) == 1
-        assert br.group_of_rank(101) == 2
-        assert br.group_of_rank(1000) == 2
-        assert br.group_of_rank(10_000) == 3
-        assert br.group_of_rank(50_000) == 4
-        assert br.group_of_rank(50_001) == 5
-
 
 class TestTsallis:
     def test_order_two_uniform(self):

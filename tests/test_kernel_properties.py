@@ -1,8 +1,9 @@
-"""Properties of the one kernel per measure, on random count tables.
+"""Properties of the one kernel per measure and the one ranking rule.
 
 The dict API (exact fsum) and the bootstrap's array call (np.sum) run the
 same kernels; these checks tie the two together and pin the dict API's
-order independence.
+order independence. The contribution ranking is checked on the same random
+count tables.
 """
 
 import random
@@ -10,7 +11,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftkit.divergence import Measure, _aligned, divergence_of, divergence_of_arrays
+from driftkit.divergence import (
+    Measure,
+    _aligned,
+    divergence_of,
+    divergence_of_arrays,
+    jsd_with_contributions,
+)
 from driftkit.popularity import normalize
 
 from conftest import dist
@@ -54,3 +61,23 @@ def test_one_kernel_per_measure(counts_a, counts_b, seed):
             assert resample == value
         else:
             assert abs(resample - value) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables, tables, st.integers(min_value=0, max_value=2**32 - 1))
+def test_one_ranking_rule(counts_a, counts_b, seed):
+    P, Q = normalize(dist(counts_a)), normalize(dist(counts_b))
+    _, breakdown = jsd_with_contributions(P, Q)
+    ranking, partials = breakdown.ranking, breakdown.partials
+    assert sorted(ranking) == sorted(set(counts_a) | set(counts_b))
+    parts = [partials[k] for k in ranking]
+    assert all(x >= y for x, y in zip(parts, parts[1:]))
+    # the rule written as a plain three-key sort is the reference
+    p, q = P.probs, Q.probs
+    assert ranking == sorted(
+        partials, key=lambda k: (-partials[k], -(p.get(k, 0.0) + q.get(k, 0.0)), k)
+    )
+
+    P_shuffled = normalize(dist(shuffled(counts_a, seed)))
+    Q_shuffled = normalize(dist(shuffled(counts_b, seed + 1)))
+    assert jsd_with_contributions(P_shuffled, Q_shuffled)[1].ranking == ranking
