@@ -1,5 +1,11 @@
 """Drift analyses over binned distributions: series, matrices, contribution groups.
 
+A plug-in view (local or global series, or the all-pairs matrix) interns its
+bins once per call over one item index (``divergence.BinRows``), which
+normalizes each bin once and caches its own term of the measure; every pair
+then computes only its union term. Bootstrap views estimate each
+pair from its two count tables.
+
 Contribution groups band the ranking that ``jsd_with_contributions`` builds
 (descending partial, then descending combined share p + q, then id) into
 ranks 1-100, 101-1K, 1K-10K, 10K-50K and the rest. The bands are defined
@@ -11,16 +17,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
-from .divergence import ContributionBreakdown, Measure, divergence_of, jsd_with_contributions
+from .divergence import BinRows, ContributionBreakdown, Measure, jsd_with_contributions
+# not called here since the plug-in views read BinRows; kept importable as
+# analysis.divergence_of, where bench/tracing.py hooks the dict API
+from .divergence import divergence_of
 from .estimators import Estimator, bootstrap_divergence
 from .events import TimeBin, bin_from_index
-from .popularity import PopularityDistribution, normalize
+from .popularity import PopularityDistribution, normalize, require_loans
 
 DEFAULT_GROUP_BOUNDS = (100, 1000, 10000, 50000)
 N_GROUPS = len(DEFAULT_GROUP_BOUNDS) + 1
@@ -62,17 +70,45 @@ def _pair_seed(seed: int, i: int, j: int) -> int:
     return int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
 
 
+def _earlier_first(dists: list[PopularityDistribution], i: int, j: int) -> tuple[int, int]:
+    return (j, i) if dists[i].bin.index > dists[j].bin.index else (i, j)
+
+
+def _plugin_rows(
+    dists: list[PopularityDistribution], pairs: list[tuple[int, int]], measure: Measure
+) -> BinRows:
+    """The view's bins interned once as rows, keyed by position.
+
+    Bins are checked in the order the pairs first reach them, earlier bin
+    first within a pair, so the empty bin reported is the one a pair-by-pair
+    loop would meet first.
+    """
+    tables = {}
+    for i, j in pairs:
+        for k in _earlier_first(dists, i, j):
+            if k not in tables:
+                require_loans(dists[k])
+                tables[k] = dists[k]
+    return BinRows(measure, tables)
+
+
 def _evaluate(
-    A: PopularityDistribution,
-    B: PopularityDistribution,
+    dists: list[PopularityDistribution],
+    i: int,
+    j: int,
     estimator: Estimator,
     measure: Measure,
+    rows: BinRows | None,
 ) -> tuple[float, float | None]:
-    """Estimate one pair, always oriented earlier-bin-first so every view agrees."""
-    if A.bin.index > B.bin.index:
-        A, B = B, A
-    if estimator.kind == "plugin":
-        return divergence_of(measure, normalize(A), normalize(B)).value, None
+    """Estimate one pair, always oriented earlier-bin-first so every view agrees.
+
+    Plug-in values come from the view's ``rows``; the bootstrap works on the
+    two count tables, since its resamples are drawn in their aligned order.
+    """
+    i, j = _earlier_first(dists, i, j)
+    if rows is not None:
+        return rows.value(i, j), None
+    A, B = dists[i], dists[j]
     est = bootstrap_divergence(
         A,
         B,
@@ -81,6 +117,17 @@ def _evaluate(
         _pair_seed(estimator.seed, A.bin.index, B.bin.index),
     )
     return est.corrected_value, est.std_error
+
+
+def _evaluate_pairs(
+    dists: list[PopularityDistribution],
+    pairs: list[tuple[int, int]],
+    estimator: Estimator,
+    measure: Measure,
+) -> list[tuple[float, float | None]]:
+    """Every pair of one view; a plug-in view interns its bins once for all of them."""
+    rows = _plugin_rows(dists, pairs, measure) if estimator.kind == "plugin" else None
+    return [_evaluate(dists, i, j, estimator, measure, rows) for i, j in pairs]
 
 
 def _check_consecutive(dists: list[PopularityDistribution]):
@@ -102,21 +149,20 @@ def local_drift(
     if len(dists) < 2:
         raise ValueError("local drift needs at least two bins")
     _check_consecutive(dists)
-    points = []
-    for prev, cur in zip(dists, dists[1:]):
-        value, err = _evaluate(prev, cur, estimator, measure)
-        points.append(SeriesPoint(cur.bin, value, err))
+    pairs = [(t - 1, t) for t in range(1, len(dists))]
+    values = _evaluate_pairs(dists, pairs, estimator, measure)
+    points = [SeriesPoint(dists[t].bin, v, err) for (_, t), (v, err) in zip(pairs, values)]
     return DriftSeries("local", measure.label, points)
 
 
-def _find_baseline(dists, baseline) -> PopularityDistribution:
-    for dist in dists:
+def _find_baseline(dists, baseline) -> int:
+    for k, dist in enumerate(dists):
         if (
             dist.bin == baseline
             or dist.bin.start == baseline
             or dist.bin.label == baseline
         ):
-            return dist
+            return k
     name = baseline.label if isinstance(baseline, TimeBin) else baseline
     raise ValueError(f"baseline bin {name} not present in distribution list")
 
@@ -128,43 +174,26 @@ def global_drift(
     measure: Measure = Measure("jsd"),
 ) -> DriftSeries:
     """Drift between a fixed baseline bin and every other bin."""
-    base = _find_baseline(dists, baseline)
-    points = []
-    for dist in dists:
-        if dist.bin == base.bin:
-            continue
-        value, err = _evaluate(base, dist, estimator, measure)
-        points.append(SeriesPoint(dist.bin, value, err))
-    return DriftSeries("global", measure.label, points, baseline=base.bin)
+    b = _find_baseline(dists, baseline)
+    base = dists[b].bin
+    pairs = [(b, t) for t, dist in enumerate(dists) if dist.bin != base]
+    values = _evaluate_pairs(dists, pairs, estimator, measure)
+    points = [SeriesPoint(dists[t].bin, v, err) for (_, t), (v, err) in zip(pairs, values)]
+    return DriftSeries("global", measure.label, points, baseline=base)
 
 
 def drift_matrix(
     dists: list[PopularityDistribution],
     estimator: Estimator = Estimator(),
     measure: Measure = Measure("jsd"),
-    jobs: int = 1,
 ) -> DriftMatrix:
-    """Symmetric drift between all bin pairs; cells are independent jobs.
-
-    Results are assembled by (row, col) regardless of completion order, so
-    the jobs count never changes the output.
-    """
+    """Symmetric drift between all bin pairs, each cell evaluated once."""
     n = len(dists)
     if n < 2:
         raise ValueError("drift matrix needs at least two bins")
     values = np.zeros((n, n), dtype=np.float64)
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def cell(pair):
-        i, j = pair
-        return _evaluate(dists[i], dists[j], estimator, measure)[0]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(cell, cells))
-    else:
-        results = [cell(p) for p in cells]
-    for (i, j), v in zip(cells, results):
+    for (i, j), (v, _) in zip(cells, _evaluate_pairs(dists, cells, estimator, measure)):
         values[i, j] = values[j, i] = v
     return DriftMatrix([d.bin for d in dists], values)
 
@@ -305,7 +334,7 @@ def trajectory_panel(
     elif isinstance(selector, TopGlobalContrib):
         base = _find_dist(dists, selector.baseline) if selector.baseline else dists[0]
         at = _find_dist(dists, selector.at)
-        breakdown, _, _ = contribution_groups(base, at)
+        _, breakdown = jsd_with_contributions(normalize(base), normalize(at))
         selected = breakdown.ranking[: selector.k]
     else:
         raise TypeError(f"unknown selector {selector!r}")

@@ -41,11 +41,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, all_items: bool = False):
     """Add the run options every analysis subcommand shares.
 
     Each option's dest is recorded as a config key, so every flag added here
-    reaches build_config as an override.
+    reaches build_config as an override. A subcommand with ``all_items``
+    spans every item with loans, so it rejects --top-k (and the top_k key).
     """
     parser.add_argument("--config", help="key = value config file; flags override it")
     keys = []
@@ -86,13 +87,16 @@ def _add_common(parser: argparse.ArgumentParser):
         "--top-k",
         dest="top_k",
         type=int,
-        help=f"restrict to the K most loaned items (default {DEFAULT_TOP_K}, 0 disables)",
+        help=(
+            "not accepted: this subcommand spans all items"
+            if all_items
+            else f"restrict to the K most loaned items (default {DEFAULT_TOP_K}, 0 disables)"
+        ),
     )
-    add("--jobs", type=int, help="parallel matrix cells; never affects results")
     add(
         "--max-malformed-fraction", dest="max_malformed_fraction", type=float
     )
-    parser.set_defaults(config_keys=tuple(keys))
+    parser.set_defaults(config_keys=tuple(keys), all_items=all_items)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -101,6 +105,12 @@ def _config_from_args(args) -> RunConfig:
     if unknown:
         raise ConfigError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     overrides = {k: getattr(args, k) for k in args.config_keys}
+    if args.all_items:
+        if overrides["top_k"] is not None or "top_k" in raw:
+            raise UsageError(
+                f"{args.subcommand} spans all items; --top-k (config key top_k) is not accepted"
+            )
+        overrides["top_k"] = 0
     return build_config(raw, overrides)
 
 
@@ -206,7 +216,7 @@ def cmd_drift(args) -> int:
         tabular.write_series(target, series)
         outputs.append(target)
     else:
-        matrix = analysis.drift_matrix(dists, cfg.estimator, cfg.measure, jobs=cfg.jobs)
+        matrix = analysis.drift_matrix(dists, cfg.estimator, cfg.measure)
         target = out / "drift_matrix.csv"
         tabular.write_matrix(target, matrix)
         outputs.append(target)
@@ -223,7 +233,6 @@ def cmd_drift(args) -> int:
 
 def cmd_contrib(args) -> int:
     cfg = _config_from_args(args)
-    cfg.top_k = 0  # contribution groups span all items with loans in a pair
     dists, reports = _load_distributions(cfg)
     out = _outdir(cfg)
     outputs = []
@@ -258,7 +267,6 @@ def cmd_contrib(args) -> int:
 
 def cmd_transitions(args) -> int:
     cfg = _config_from_args(args)
-    cfg.top_k = 0
     dists, reports = _load_distributions(cfg)
     schedule = analysis.build_group_schedule(dists)
     matrix = analysis.transition_matrix(schedule)
@@ -271,7 +279,6 @@ def cmd_transitions(args) -> int:
 
 def cmd_trajectories(args) -> int:
     cfg = _config_from_args(args)
-    cfg.top_k = 0
     dists, reports = _load_distributions(cfg)
     if args.selector == "top_total":
         selector = analysis.TopTotal(args.k)
@@ -410,7 +417,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_drift)
 
-    p = sub.add_parser("contrib", help="per-pair contribution group shares")
+    p = sub.add_parser("contrib", help="per-pair contribution group shares, over all items")
     p.add_argument("--kind", choices=("local", "global"), default="local")
     p.add_argument("--baseline", help="baseline bin start for --kind global")
     p.add_argument(
@@ -418,14 +425,16 @@ def build_parser() -> _Parser:
         dest="dump_pair",
         help="bin start of one pair whose per-item contributions to dump",
     )
-    _add_common(p)
+    _add_common(p, all_items=True)
     p.set_defaults(func=cmd_contrib)
 
-    p = sub.add_parser("transitions", help="group-to-group transition matrix")
-    _add_common(p)
+    p = sub.add_parser("transitions", help="group-to-group transition matrix, over all items")
+    _add_common(p, all_items=True)
     p.set_defaults(func=cmd_transitions)
 
-    p = sub.add_parser("trajectories", help="item-by-bin count panel, peak ordered")
+    p = sub.add_parser(
+        "trajectories", help="item-by-bin count panel, peak ordered, selected from all items"
+    )
     p.add_argument(
         "--selector",
         choices=("top_total", "top_peak", "top_global_contrib"),
@@ -434,7 +443,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--at", help="bin start for top_global_contrib")
     p.add_argument("--baseline", help="baseline bin for top_global_contrib")
-    _add_common(p)
+    _add_common(p, all_items=True)
     p.set_defaults(func=cmd_trajectories)
 
     p = sub.add_parser("predict", help="seasonal-naive drift prediction, year over year")

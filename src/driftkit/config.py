@@ -98,7 +98,6 @@ class RunConfig:
     top_k: int = DEFAULT_TOP_K  # 0 disables restriction
     seed: int = 0
     max_malformed_fraction: float = 0.01
-    jobs: int = 1
 
     def age_cohorts(self) -> list[CohortFilter]:
         """One cohort filter per configured age bin, for per-age sweeps."""
@@ -116,8 +115,6 @@ class RunConfig:
             raise ConfigError("top_k must be >= 0 (0 disables restriction)")
         if self.estimator.n_resamples < 2:
             raise ConfigError("resamples must be >= 2")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         if not 0.0 <= self.max_malformed_fraction <= 1.0:
             raise ConfigError("max_malformed_fraction must lie in [0, 1]")
 
@@ -144,7 +141,6 @@ class RunConfig:
             "top_k": self.top_k,
             "seed": self.seed,
             "max_malformed_fraction": self.max_malformed_fraction,
-            "jobs": self.jobs,
         }
 
 
@@ -233,7 +229,6 @@ def build_config(raw: dict[str, str], overrides: dict) -> RunConfig:
         top_k=int(get("top_k", DEFAULT_TOP_K)),
         seed=seed,
         max_malformed_fraction=float(get("max_malformed_fraction", 0.01)),
-        jobs=int(get("jobs", 1)),
     )
     cfg.validate()
     return cfg

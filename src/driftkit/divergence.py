@@ -12,16 +12,22 @@ that agreement and for the 1-bit bound: without it the disjoint case would
 score 2 rather than 1.
 
 This module is the only place a measure is computed. Each measure has one
-private kernel over aligned probability vectors (the JSD entropy form, the
-normalized alpha-JSD with its alpha = 1 and alpha = 0 limits, and the support
-overlap behind Jaccard and Dice), reached through one dispatch on
-``Measure.kind``. Callers differ only in how the kernels sum. The dict API
-(``divergence_of`` and the per-measure functions) sums with math.fsum: exact
-summation makes results independent of key order, so symmetry holds
-bit-exactly and pinned outputs stay byte-identical. Bootstrap resamples go
-through ``divergence_of_arrays``, which sums with np.sum (its docstring says
-why). Inputs can be RelativeDistribution objects or plain mappings of item id
-to probability.
+kernel (the JSD entropy form, the normalized alpha-JSD with its alpha = 1 and
+alpha = 0 limits, and the support overlap behind Jaccard and Dice), split in
+three private steps: a side term of one distribution alone (H(P), the Tsallis
+sum or the support size), a pair term over the union support (the same side
+term of the midpoint, or the shared support size), and their combination.
+Callers differ only in how they align the vectors and how the terms sum. The
+dict API (``divergence_of`` and the per-measure functions) aligns two
+mappings and sums with math.fsum: exact summation makes results independent
+of key order, so symmetry holds bit-exactly and pinned outputs stay
+byte-identical. ``BinRows`` interns a whole view's count tables once over
+one item index, normalizes each once and caches its side term, so each pair
+pays only for its pair term; it runs the same steps with math.fsum, so its
+values equal the dict API's bit for bit. Bootstrap resamples go through
+``divergence_of_arrays``, which sums with np.sum (its docstring says why).
+Inputs can be RelativeDistribution objects or plain mappings of item id to
+probability.
 
 ``jsd_with_contributions`` ranks the items once, where it computes their
 partials, by the one ranking rule: descending partial, then descending
@@ -34,13 +40,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Mapping
 
 import numpy as np
 
 JSD_BITS = "jsd_bits"
 JACCARD = "jaccard"
+EMPTY_SUPPORT = "divergence needs two distributions with non-empty support"
 
 
 def alpha_label(alpha: float) -> str:
@@ -114,7 +121,7 @@ def _aligned(p_map: Mapping[str, float], q_map: Mapping[str, float]):
     p[:n_p] = np.fromiter(p_map.values(), dtype=np.float64, count=n_p)
     q = np.fromiter(map(q_map.get, ids, repeat(0.0)), dtype=np.float64, count=n)
     if not (p.any() and q.any()):
-        raise ValueError("divergence needs two distributions with non-empty support")
+        raise ValueError(EMPTY_SUPPORT)
     return ids, p, q
 
 
@@ -134,15 +141,6 @@ def shannon_entropy(dist) -> float:
     p_map = _probs(dist)
     p = np.fromiter(p_map.values(), dtype=np.float64, count=len(p_map))
     return _entropy_bits(p, _fsum)
-
-
-def _jsd_bits_from_arrays(p: np.ndarray, q: np.ndarray, total) -> float:
-    m = 0.5 * (p + q)
-    value = _entropy_bits(m, total) - 0.5 * (_entropy_bits(p, total) + _entropy_bits(q, total))
-    # rounding dust can stray a few ulp past the [0, 1] bits bound; clip it
-    if value <= 0.0:
-        return 0.0
-    return value if value < 1.0 else min(value, 1.0)
 
 
 def jsd(P, Q, n_left: int | None = None, n_right: int | None = None) -> DriftValue:
@@ -196,7 +194,7 @@ def jsd_with_contributions(
     breakdown = ContributionBreakdown(
         dict(zip(ids, values)), math.fsum(values), names[order].tolist()
     )
-    value = _jsd_bits_from_arrays(p, q, _fsum)
+    value = _measure_value(Measure("jsd"), p, q, _fsum)
     return DriftValue(value, JSD_BITS, n_left, n_right), breakdown
 
 
@@ -217,31 +215,6 @@ def tsallis_entropy(dist, alpha: float) -> float:
     p_map = _probs(dist)
     p = np.fromiter(p_map.values(), dtype=np.float64, count=len(p_map))
     return _tsallis_from_array(p, alpha, _fsum)
-
-
-def _support_distance(p: np.ndarray, q: np.ndarray, dice: bool) -> float:
-    """One minus the supports' Dice (2|P&Q| / (|P|+|Q|)) or Jaccard (|P&Q| / |P|Q|) overlap."""
-    sp, sq = p > 0.0, q > 0.0
-    inter = np.count_nonzero(sp & sq)
-    sizes = np.count_nonzero(sp) + np.count_nonzero(sq)
-    if dice:
-        return 1.0 - 2.0 * inter / sizes
-    return 1.0 - inter / (sizes - inter)
-
-
-def _jsd_alpha_from_arrays(p: np.ndarray, q: np.ndarray, alpha: float, total) -> float:
-    if alpha == 1.0:
-        return _jsd_bits_from_arrays(p, q, total)
-    if alpha == 0.0:
-        return _support_distance(p, q, dice=True)
-    m = 0.5 * (p + q)
-    ha_p = _tsallis_from_array(p, alpha, total)
-    ha_q = _tsallis_from_array(q, alpha, total)
-    numerator = _tsallis_from_array(m, alpha, total) - 0.5 * (ha_p + ha_q)
-    if numerator <= 0.0:
-        return 0.0
-    maximum = 0.5 * (2.0 ** (1.0 - alpha) - 1.0) * (ha_p + ha_q + 2.0 / (1.0 - alpha))
-    return min(max(numerator / maximum, 0.0), 1.0)
 
 
 def jsd_alpha_normalized(
@@ -265,13 +238,64 @@ def jaccard_distance(
     return divergence_of(Measure("jaccard"), P, Q, n_left, n_right)
 
 
+def _form(measure: Measure) -> str:
+    """Which kernel ``measure`` runs: the Shannon or the Tsallis entropy form, or supports."""
+    if measure.kind == "jaccard" or (measure.kind == "jsd_alpha" and measure.alpha == 0.0):
+        return "support"
+    if measure.kind == "jsd" or measure.alpha == 1.0:
+        return "shannon"
+    return "tsallis"
+
+
+def _side_term(measure: Measure, p: np.ndarray, total):
+    """The term of one distribution alone: H(P), the Tsallis sum or the support size.
+
+    Over the midpoint M = (P + Q) / 2 it is also the pair term of the two
+    entropy forms.
+    """
+    form = _form(measure)
+    if form == "support":
+        return int(np.count_nonzero(p > 0.0))
+    if form == "shannon":
+        return _entropy_bits(p, total)
+    return _tsallis_from_array(p, measure.alpha, total)
+
+
+def _pair_term(measure: Measure, p: np.ndarray, q: np.ndarray, total):
+    """The union term of two aligned vectors: the midpoint's side term, or the shared support."""
+    if _form(measure) == "support":
+        return int(np.count_nonzero((p > 0.0) & (q > 0.0)))
+    return _side_term(measure, 0.5 * (p + q), total)
+
+
+def _combine(measure: Measure, side_p, side_q, pair) -> float:
+    """The measure from two side terms and the pair term."""
+    form = _form(measure)
+    if form == "support":
+        # one minus the Jaccard (|P&Q| / |P|Q|) or Dice (2|P&Q| / (|P|+|Q|)) overlap
+        sizes = side_p + side_q
+        if measure.kind == "jaccard":
+            return 1.0 - pair / (sizes - pair)
+        return 1.0 - 2.0 * pair / sizes
+    value = pair - 0.5 * (side_p + side_q)
+    if value <= 0.0:
+        return 0.0
+    if form == "shannon":
+        # rounding dust can stray a few ulp past the [0, 1] bits bound; clip it
+        return value if value < 1.0 else min(value, 1.0)
+    alpha = measure.alpha
+    maximum = 0.5 * (2.0 ** (1.0 - alpha) - 1.0) * (side_p + side_q + 2.0 / (1.0 - alpha))
+    return min(max(value / maximum, 0.0), 1.0)
+
+
 def _measure_value(measure: Measure, p: np.ndarray, q: np.ndarray, total) -> float:
-    """The one dispatch on Measure.kind, over aligned probability vectors."""
-    if measure.kind == "jsd":
-        return _jsd_bits_from_arrays(p, q, total)
-    if measure.kind == "jaccard":
-        return _support_distance(p, q, dice=False)
-    return _jsd_alpha_from_arrays(p, q, measure.alpha, total)
+    """The one kernel per measure, over aligned probability vectors."""
+    return _combine(
+        measure,
+        _side_term(measure, p, total),
+        _side_term(measure, q, total),
+        _pair_term(measure, p, q, total),
+    )
 
 
 def divergence_of(measure: Measure, P, Q, n_left=None, n_right=None) -> DriftValue:
@@ -280,13 +304,72 @@ def divergence_of(measure: Measure, P, Q, n_left=None, n_right=None) -> DriftVal
     return DriftValue(_measure_value(measure, p, q, _fsum), measure.label, n_left, n_right)
 
 
-def divergence_of_arrays(measure: Measure, p: np.ndarray, q: np.ndarray) -> float:
-    """``measure`` between two aligned probability vectors (bootstrap resamples).
+def divergence_of_arrays(
+    measure: Measure, p: np.ndarray, q: np.ndarray, exact: bool = False
+) -> float:
+    """``measure`` between two aligned probability vectors.
 
-    Sums with np.sum, not math.fsum: a pair's resamples all come in one fixed
-    aligned order, so exact summation buys no order independence there, and
-    it would make each resample about 2.5x slower. The result agrees with
-    ``divergence_of`` on the same vectors to a few ulp, and exactly for
-    Jaccard and alpha = 0.
+    Bootstrap resamples sum with np.sum (``exact=False``), not math.fsum: a
+    pair's resamples all come in one fixed aligned order, so exact summation
+    buys no order independence there, and it would make each resample about
+    2.5x slower. Such a result agrees with ``divergence_of`` on the same
+    vectors to a few ulp, and exactly for Jaccard and alpha = 0. With
+    ``exact=True`` the sum is math.fsum and the result equals
+    ``divergence_of`` bit for bit.
     """
-    return _measure_value(measure, p, q, np.sum)
+    return _measure_value(measure, p, q, _fsum if exact else np.sum)
+
+
+class BinRows:
+    """One view's count tables as sparse rows over one shared item index.
+
+    The item index (id to int) is interned once over all tables. Each table
+    becomes an int index array into it plus its probabilities count / total
+    (zero counts dropped), and its side term under ``measure`` is cached, so
+    a pair computes only its pair term, over the union gathered through one
+    reused scratch vector of length n_items. Memory is O(sum of supports +
+    distinct items). Values equal ``divergence_of`` on the normalized tables
+    bit for bit: the divisions and elementwise terms are the same, and both
+    sum them with math.fsum. Pairs share the scratch vector, so one object
+    must not be used from two threads at once.
+    """
+
+    def __init__(self, measure: Measure, tables: Mapping):
+        """``tables`` maps a caller's key to an object with ``counts`` and ``total``.
+
+        Totals must be positive; callers check that where they can name the bin.
+        """
+        self.measure = measure
+        counts = [t.counts for t in tables.values()]
+        items = dict.fromkeys(chain.from_iterable(counts))
+        index = dict(zip(items, range(len(items))))
+        self._rows = {}
+        for (key, table), c in zip(tables.items(), counts):
+            n = len(c)
+            ids = np.fromiter(map(index.__getitem__, c), dtype=np.intp, count=n)
+            p = np.fromiter(c.values(), dtype=np.float64, count=n) / table.total
+            keep = p > 0.0
+            ids, p = ids[keep], p[keep]
+            self._rows[key] = (ids, p, _side_term(measure, p, _fsum))
+        self._scratch = np.zeros(len(index), dtype=np.float64)
+
+    def value(self, left, right) -> float:
+        """``measure`` between the rows stored under keys ``left`` and ``right``."""
+        ia, p, side_p = self._rows[left]
+        ib, q, side_q = self._rows[right]
+        if not (p.size and q.size):
+            raise ValueError(EMPTY_SUPPORT)
+        # align q to p's support, then append q's own items after p's
+        scratch = self._scratch
+        scratch[ib] = q
+        q_on_p = scratch[ia]
+        scratch[ia] = 0.0
+        q_rest = scratch[ib]  # zero where the item is shared
+        scratch[ib] = 0.0
+        pair = _pair_term(
+            self.measure,
+            np.concatenate((p, np.zeros(q.size))),
+            np.concatenate((q_on_p, q_rest)),
+            _fsum,
+        )
+        return _combine(self.measure, side_p, side_q, pair)

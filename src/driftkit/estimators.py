@@ -8,10 +8,12 @@ and reports 2 * plugin - mean(resamples), clamped to [0, 1]. Resample b draws
 from a child seed spawned as (seed, b), so results do not depend on execution
 order and are a pure function of (counts, n_resamples, seed).
 
-No divergence formula lives here. The plug-in value comes from
-``divergence_of`` (the dict API, exact fsum summation) and each resample from
-``divergence_of_arrays``; both run the same kernel in divergence.py and differ
-only in summation, so the bias correction subtracts like from like.
+No divergence formula lives here. ``plugin_divergence`` goes through
+``divergence_of`` (the dict API, exact fsum summation). The bootstrap aligns
+the two count tables once and takes both its plug-in value (exact fsum, equal
+to ``plugin_divergence`` bit for bit) and each resample (np.sum) from
+``divergence_of_arrays``; all run the same kernel in divergence.py, so the
+bias correction subtracts like from like.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ def bootstrap_divergence(
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
 
-    plugin = plugin_divergence(A, B, measure).value
     _, ca, cb = _aligned(A.counts, B.counts)
     pa = ca / A.total
     pb = cb / B.total
+    plugin = divergence_of_arrays(measure, pa, pb, exact=True)
 
     children = np.random.SeedSequence(seed).spawn(n_resamples)
     values = np.empty(n_resamples, dtype=np.float64)

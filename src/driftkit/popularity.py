@@ -102,10 +102,15 @@ def aggregate(
     return dists, report
 
 
-def normalize(dist: PopularityDistribution) -> RelativeDistribution:
-    """Relative popularity: each count divided by the bin's loan total."""
+def require_loans(dist: PopularityDistribution) -> None:
+    """Reject a bin without loans, which has no relative popularity."""
     if dist.total < 1:
         raise ValueError(f"empty distribution for bin {dist.bin.label}")
+
+
+def normalize(dist: PopularityDistribution) -> RelativeDistribution:
+    """Relative popularity: each count divided by the bin's loan total."""
+    require_loans(dist)
     total = dist.total
     return RelativeDistribution({k: c / total for k, c in dist.counts.items()})
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from driftkit.analysis import (
     trajectory_panel,
     transition_matrix,
 )
+from driftkit.divergence import BinRows, Measure
 from driftkit.estimators import Estimator, plugin_jsd
 
 from conftest import dist
@@ -103,14 +105,20 @@ class TestDriftMatrix:
         perm = list(range(len(dists)))[::-1]
         assert np.array_equal(reversed_.values, forward.values[np.ix_(perm, perm)])
 
-    def test_jobs_flag_never_changes_results(self, rng):
+    def test_cell_order_never_changes_results(self, rng):
+        # the rows share one scratch vector: a cell must not see another's leftovers
         dists = []
         for month in (1, 2, 3, 4, 5):
-            counts = {f"i{k}": int(c) + 1 for k, c in enumerate(rng.integers(0, 30, size=30))}
+            size = int(rng.integers(1, 40))
+            counts = {f"i{k}": int(c) + 1 for k, c in enumerate(rng.integers(0, 30, size=size))}
             dists.append(dist(counts, month=month))
-        one = drift_matrix(dists, jobs=1)
-        four = drift_matrix(dists, jobs=4)
-        assert np.array_equal(one.values, four.values)
+        matrix = drift_matrix(dists).values
+        keys = list(range(len(dists)))
+        random.Random(5).shuffle(keys)  # interning order
+        rows = BinRows(Measure("jsd"), {k: dists[k] for k in keys})
+        cells = [(i, j) for i in range(len(dists)) for j in range(len(dists)) if i != j]
+        random.Random(6).shuffle(cells)
+        assert all(rows.value(i, j) == matrix[i, j] for i, j in cells)
 
     def test_bootstrap_consistency_across_views(self, rng):
         dists = []

@@ -192,6 +192,20 @@ class TestExitCodes:
         assert err.rstrip().endswith("unknown config keys: top-k, granularty")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("subcommand", ["contrib", "transitions", "trajectories"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_top_k_rejected_where_all_items_are_spanned(
+        self, tmp_path, capsys, subcommand, where
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {FIXTURE}\n" + ("top_k = 5\n" if where == "config" else ""))
+        flags = ("--top-k", "5") if where == "flag" else ()
+        code = run(subcommand, "--config", str(cfg), "--output-dir", str(tmp_path / "out"), *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{subcommand} spans all items; --top-k (config key top_k) is not accepted" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_config_merging_and_flag_override(self, static_log, tmp_path):

@@ -1,16 +1,20 @@
 """Properties of the one kernel per measure and the one ranking rule.
 
-The dict API (exact fsum) and the bootstrap's array call (np.sum) run the
-same kernels; these checks tie the two together and pin the dict API's
-order independence. The contribution ranking is checked on the same random
-count tables.
+The dict API (exact fsum), the plug-in views' per-view rows (exact fsum) and
+the bootstrap's array call (np.sum) run the same kernels; these checks tie
+them together and pin the dict API's order independence. The contribution
+ranking is checked on the same random count tables.
 """
 
 import random
+import re
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftkit.analysis import drift_matrix, global_drift, local_drift
 from driftkit.divergence import (
     Measure,
     _aligned,
@@ -18,7 +22,7 @@ from driftkit.divergence import (
     divergence_of_arrays,
     jsd_with_contributions,
 )
-from driftkit.popularity import normalize
+from driftkit.popularity import PopularityDistribution, normalize
 
 from conftest import dist
 
@@ -56,6 +60,7 @@ def test_one_kernel_per_measure(counts_a, counts_b, seed):
         assert divergence_of(measure, Q_shuffled, P_shuffled).value == value
         assert 0.0 <= value <= 1.0
 
+        assert divergence_of_arrays(measure, ca / A.total, cb / B.total, exact=True) == value
         resample = divergence_of_arrays(measure, ca / A.total, cb / B.total)
         if measure in EXACT:
             assert resample == value
@@ -81,3 +86,74 @@ def test_one_ranking_rule(counts_a, counts_b, seed):
     P_shuffled = normalize(dist(shuffled(counts_a, seed)))
     Q_shuffled = normalize(dist(shuffled(counts_b, seed + 1)))
     assert jsd_with_contributions(P_shuffled, Q_shuffled)[1].ranking == ranking
+
+
+counts = st.integers(min_value=1, max_value=1000)
+
+
+@st.composite
+def bin_tables(draw):
+    """2-5 consecutive bins: random tables, single items, repeats and disjoint supports."""
+    out = []
+    for t in range(draw(st.integers(min_value=2, max_value=5))):
+        kind = draw(st.sampled_from(("random", "single", "repeat", "disjoint")))
+        if kind == "repeat" and out:
+            out.append(dict(out[-1]))
+        elif kind == "single":
+            out.append({draw(st.sampled_from(ITEMS)): draw(counts)})
+        elif kind == "disjoint":
+            ids = st.sampled_from([f"d{t}_{k}" for k in range(20)])
+            out.append(draw(st.dictionaries(ids, counts, min_size=1)))
+        else:
+            out.append(draw(tables))
+    return [dist(c, month=t + 1) for t, c in enumerate(out)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bin_tables(), st.data())
+def test_plugin_views_equal_the_dict_api(dists, data):
+    n = len(dists)
+    b = data.draw(st.integers(min_value=0, max_value=n - 1), label="baseline")
+    for measure in MEASURES:
+
+        def reference(i, j):
+            return divergence_of(measure, normalize(dists[i]), normalize(dists[j])).value
+
+        local = local_drift(dists, measure=measure).values()
+        assert local == [reference(t - 1, t) for t in range(1, n)]
+        glob = global_drift(dists, dists[b].bin.label, measure=measure).values()
+        assert glob == [reference(b, t) for t in range(n) if t != b]
+        matrix = drift_matrix(dists, measure=measure).values
+        assert np.array_equal(matrix, matrix.T)
+        assert not np.diagonal(matrix).any()
+        assert all(matrix[i, j] == reference(i, j) for i in range(n) for j in range(i + 1, n))
+
+
+def _pair_loop_error(dists, pairs):
+    """The error a pair-by-pair loop normalizing each pair, earlier bin first, meets first."""
+    for i, j in pairs:
+        for k in sorted((i, j), key=lambda k: dists[k].bin.index):
+            try:
+                normalize(dists[k])
+            except ValueError as exc:
+                return exc
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(bin_tables(), st.data())
+def test_empty_bin_raises_as_the_pair_loop_did(dists, data):
+    n = len(dists)
+    empty = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1), label="empty")
+    for k in empty:
+        dists[k] = PopularityDistribution(dists[k].bin, "all", {}, 0)
+    b = data.draw(st.integers(min_value=0, max_value=n - 1), label="baseline")
+    views = [
+        (lambda: local_drift(dists), [(t - 1, t) for t in range(1, n)]),
+        (lambda: global_drift(dists, dists[b].bin.label), [(b, t) for t in range(n) if t != b]),
+        (lambda: drift_matrix(dists), [(i, j) for i in range(n) for j in range(i + 1, n)]),
+    ]
+    for view, pairs in views:
+        expected = _pair_loop_error(dists, pairs)
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            view()
