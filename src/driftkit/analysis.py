@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 
@@ -317,27 +318,25 @@ def trajectory_panel(
     """
     if not dists:
         raise ValueError("trajectory panel needs at least one bin")
-    totals: dict[str, int] = {}
-    peaks: dict[str, int] = {}
-    for dist in dists:
-        for item, c in dist.counts.items():
-            totals[item] = totals.get(item, 0) + c
-            if c > peaks.get(item, 0):
-                peaks[item] = c
-
-    if isinstance(selector, TopTotal):
-        order = sorted(totals, key=lambda k: (-totals[k], k))
-        selected = order[: selector.k]
-    elif isinstance(selector, TopPeak):
-        order = sorted(peaks, key=lambda k: (-peaks[k], k))
-        selected = order[: selector.k]
-    elif isinstance(selector, TopGlobalContrib):
+    if isinstance(selector, TopGlobalContrib):
         base = _find_dist(dists, selector.baseline) if selector.baseline else dists[0]
         at = _find_dist(dists, selector.at)
         _, breakdown = jsd_with_contributions(normalize(base), normalize(at))
         selected = breakdown.ranking[: selector.k]
     else:
-        raise TypeError(f"unknown selector {selector!r}")
+        if isinstance(selector, TopTotal):
+            score = Counter()
+            for dist in dists:
+                score.update(dist.counts)
+        elif isinstance(selector, TopPeak):
+            score = {}
+            for dist in dists:
+                for item, c in dist.counts.items():
+                    if c > score.get(item, 0):
+                        score[item] = c
+        else:
+            raise TypeError(f"unknown selector {selector!r}")
+        selected = sorted(score, key=lambda k: (-score[k], k))[: selector.k]
 
     bins = [d.bin for d in dists]
     n_bins = len(bins)

@@ -1,10 +1,13 @@
 """Command-line front end: ingestion, canonicalization, drift analyses, outputs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
-Default knobs are month bins, top-K 10,000 (0 disables), plugin
-estimation with an optional 500-resample bootstrap, and JSD in bits. One root
-seed drives every random choice, so identical inputs and flags give
-byte-identical outputs.
+The run options are declared in `config.OPTIONS`; each becomes a flag of
+every analysis subcommand and a config-file key. The analysis subcommands
+share one run frame (`_run`): build the config, load the distributions,
+run the analysis, and only then create the output directory, write the
+products and the manifest, so a failed analysis leaves no output directory.
+The estimator's seed is the one root seed, so identical inputs and flags
+give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,17 +16,11 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import analysis, canon, forecast, synthmarket, tabular
-from .config import (
-    DEFAULT_TOP_K,
-    ConfigError,
-    RunConfig,
-    build_config,
-    load_config,
-    parse_date,
-)
+from .config import OPTIONS, ConfigError, RunConfig, build_config, load_config, parse_date
 from .events import IngestError, ingest
 from .popularity import aggregate, restrict_top_k
 
@@ -42,107 +39,44 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser, all_items: bool = False):
-    """Add the run options every analysis subcommand shares.
+    """Add one flag per run option in `config.OPTIONS`.
 
-    Each option's dest is recorded as a config key, so every flag added here
-    reaches build_config as an override. A subcommand with ``all_items``
-    spans every item with loans, so it rejects --top-k (and the top_k key).
+    A subcommand with ``all_items`` spans every item with loans, so it
+    rejects --top-k (and the top_k key).
     """
     parser.add_argument("--config", help="key = value config file; flags override it")
-    keys = []
-
-    def add(*flags, **kwargs):
-        keys.append(parser.add_argument(*flags, **kwargs).dest)
-
-    add("--input", help="event log CSV")
-    add("--catalog", help="item_key,canonical_id mapping from `canon`")
-    add("--output-dir", dest="output_dir", help="output directory")
-    add("--granularity", choices=("week", "month", "quarter"))
-    add("--window-start", dest="window_start")
-    add("--window-end", dest="window_end")
-    add(
-        "--exclude",
-        action="append",
-        default=None,
-        metavar="START:END",
-        help="date range to drop (repeatable), e.g. lockdown months",
-    )
-    add("--sex")
-    add("--education")
-    add("--residence")
-    add("--category", help="comma-separated category filter")
-    add("--age-range", dest="age_range", metavar="LO-HI")
-    add(
-        "--age-bins",
-        dest="age_bins",
-        metavar="LO-HI,...",
-        help="cohort age bands for per-age sweeps (default 0-18,18-30,30-46,46-65,65-)",
-    )
-    add("--measure", choices=("jsd", "jsd_alpha", "jaccard"))
-    add("--alpha", type=float)
-    add("--estimator", choices=("plugin", "bootstrap"))
-    add("--resamples", type=int, help="bootstrap resamples (default 500)")
-    add("--seed", type=int, help="root seed for all randomness")
-    add(
-        "--top-k",
-        dest="top_k",
-        type=int,
-        help=(
-            "not accepted: this subcommand spans all items"
-            if all_items
-            else f"restrict to the K most loaned items (default {DEFAULT_TOP_K}, 0 disables)"
-        ),
-    )
-    add(
-        "--max-malformed-fraction", dest="max_malformed_fraction", type=float
-    )
-    parser.set_defaults(config_keys=tuple(keys), all_items=all_items)
+    for key, option in OPTIONS.items():
+        help = option.help
+        if all_items and key == "top_k":
+            help = "not accepted: this subcommand spans all items"
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            metavar=option.metavar,
+            help=help,
+            action="append" if key == "exclude" else "store",
+        )
+    parser.set_defaults(all_items=all_items)
 
 
 def _config_from_args(args) -> RunConfig:
     raw = load_config(args.config) if args.config else {}
-    unknown = [k for k in raw if k not in args.config_keys]
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
-    overrides = {k: getattr(args, k) for k in args.config_keys}
+    overrides = {key: getattr(args, key) for key in OPTIONS}
+    if overrides["exclude"]:
+        overrides["exclude"] = ",".join(overrides["exclude"])
     if args.all_items:
         if overrides["top_k"] is not None or "top_k" in raw:
             raise UsageError(
                 f"{args.subcommand} spans all items; --top-k (config key top_k) is not accepted"
             )
-        overrides["top_k"] = 0
+        overrides["top_k"] = "0"
     return build_config(raw, overrides)
-
-
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output dir {out}: {exc}") from exc
-    return out
-
-
-def _load_catalog(path: Path) -> canon.CanonicalCatalog:
-    mapping = {}
-    try:
-        import csv as _csv
-
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in _csv.DictReader(fh):
-                mapping[row["item_key"]] = row["canonical_id"]
-    except (OSError, KeyError, TypeError) as exc:
-        raise DataError(f"cannot read catalog {path}: {exc}") from exc
-    groups: dict[str, list[str]] = {}
-    for key, cid in mapping.items():
-        groups.setdefault(cid, []).append(key)
-    return canon.CanonicalCatalog(mapping, groups)
 
 
 def _load_distributions(cfg: RunConfig):
     if cfg.input is None:
         raise UsageError("an input event log is required (--input or config `input`)")
-    catalog = _load_catalog(cfg.catalog) if cfg.catalog else None
+    catalog = tabular.read_mapping(cfg.catalog) if cfg.catalog else None
     stream, ingest_report = ingest(
         cfg.input,
         window=cfg.window,
@@ -158,13 +92,30 @@ def _load_distributions(cfg: RunConfig):
     return dists, reports
 
 
-def _write_manifest(cfg: RunConfig, out: Path, subcommand: str, outputs: list[Path], extra=None):
+def _run(args) -> int:
+    """The run frame of every analysis subcommand.
+
+    ``args.analyse(args, cfg, dists)`` returns the products, each a tuple of
+    file names and a writer taking their paths, and the manifest's extra
+    run entries. Nothing is written until the analysis has succeeded.
+    """
+    cfg = _config_from_args(args)
+    dists, reports = _load_distributions(cfg)
+    products, extra = args.analyse(args, cfg, dists)
+    out = Path(cfg.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output dir {out}: {exc}") from exc
+    names = []
+    for files, write in products:
+        write(*(out / name for name in files))
+        names.extend(files)
     config_dict = cfg.as_dict()
-    if extra:
-        config_dict["run"] = extra
-    tabular.write_manifest(
-        out / "manifest.json", subcommand, config_dict, [p.name for p in outputs]
-    )
+    config_dict["run"] = {**extra, **reports}
+    subcommand = " ".join(filter(None, (args.subcommand, getattr(args, "mode", None))))
+    tabular.write_manifest(out / "manifest.json", subcommand, config_dict, names)
+    return 0
 
 
 # Subcommands ------------------------------------------------------------------
@@ -198,88 +149,49 @@ def cmd_canon(args) -> int:
     return 0
 
 
-def cmd_drift(args) -> int:
-    cfg = _config_from_args(args)
-    dists, reports = _load_distributions(cfg)
-    out = _outdir(cfg)
-    outputs = []
-
-    if args.mode == "local":
-        series = analysis.local_drift(dists, cfg.estimator, cfg.measure)
-        target = out / "drift_local.csv"
-        tabular.write_series(target, series)
-        outputs.append(target)
-    elif args.mode == "global":
-        baseline = args.baseline or dists[0].bin.label
-        series = analysis.global_drift(dists, baseline, cfg.estimator, cfg.measure)
-        target = out / "drift_global.csv"
-        tabular.write_series(target, series)
-        outputs.append(target)
-    else:
+def cmd_drift(args, cfg: RunConfig, dists):
+    if args.mode == "matrix":
         matrix = analysis.drift_matrix(dists, cfg.estimator, cfg.measure)
-        target = out / "drift_matrix.csv"
-        tabular.write_matrix(target, matrix)
-        outputs.append(target)
-
+        products = [(("drift_matrix.csv",), lambda p: tabular.write_matrix(p, matrix))]
+    else:
+        if args.mode == "local":
+            series = analysis.local_drift(dists, cfg.estimator, cfg.measure)
+        else:
+            baseline = args.baseline or dists[0].bin.label
+            series = analysis.global_drift(dists, baseline, cfg.estimator, cfg.measure)
+        products = [((f"drift_{args.mode}.csv",), lambda p: tabular.write_series(p, series))]
     if args.dump_distributions:
-        target = out / "distributions.csv"
-        tabular.write_distributions(target, dists)
-        outputs.append(target)
-
-    extra = {"mode": args.mode, "baseline": getattr(args, "baseline", None), **reports}
-    _write_manifest(cfg, out, f"drift {args.mode}", outputs, extra)
-    return 0
+        products.append((("distributions.csv",), lambda p: tabular.write_distributions(p, dists)))
+    return products, {"mode": args.mode, "baseline": args.baseline}
 
 
-def cmd_contrib(args) -> int:
-    cfg = _config_from_args(args)
-    dists, reports = _load_distributions(cfg)
-    out = _outdir(cfg)
-    outputs = []
-
-    rows = []
-    dump_done = False
+def cmd_contrib(args, cfg: RunConfig, dists):
     if args.kind == "local":
         pairs = list(zip(dists, dists[1:]))
     else:
-        baseline = args.baseline or dists[0].bin.label
-        base = next((d for d in dists if d.bin.label == baseline), None)
-        if base is None:
-            raise DataError(f"baseline bin {baseline} not present in the data")
+        base = dists[analysis._find_baseline(dists, args.baseline or dists[0].bin.label)]
         pairs = [(base, d) for d in dists if d.bin != base.bin]
+    rows, products = [], []
     for left, right in pairs:
         breakdown, groups, shares = analysis.contribution_groups(left, right)
         rows.append((right.bin.label, shares))
-        if args.dump_pair and right.bin.label == args.dump_pair:
-            target = out / f"contributions_{right.bin.label}.csv"
-            tabular.write_contributions(target, breakdown, groups)
-            outputs.append(target)
-            dump_done = True
-    if args.dump_pair and not dump_done:
+        if right.bin.label == args.dump_pair:
+            write = partial(tabular.write_contributions, breakdown=breakdown, groups=groups)
+            products.append(((f"contributions_{args.dump_pair}.csv",), write))
+    if args.dump_pair and not products:
         raise DataError(f"pair bin {args.dump_pair} not present in the data")
-
-    target = out / f"group_shares_{args.kind}.csv"
-    tabular.write_group_shares(target, rows)
-    outputs.append(target)
-    _write_manifest(cfg, out, "contrib", outputs, {"kind": args.kind, **reports})
-    return 0
+    products.append(
+        ((f"group_shares_{args.kind}.csv",), lambda p: tabular.write_group_shares(p, rows))
+    )
+    return products, {"kind": args.kind}
 
 
-def cmd_transitions(args) -> int:
-    cfg = _config_from_args(args)
-    dists, reports = _load_distributions(cfg)
-    schedule = analysis.build_group_schedule(dists)
-    matrix = analysis.transition_matrix(schedule)
-    out = _outdir(cfg)
-    target = out / "transitions.csv"
-    tabular.write_transitions(target, matrix)
-    _write_manifest(cfg, out, "transitions", [target], reports)
-    return 0
+def cmd_transitions(args, cfg: RunConfig, dists):
+    matrix = analysis.transition_matrix(analysis.build_group_schedule(dists))
+    return [(("transitions.csv",), lambda p: tabular.write_transitions(p, matrix))], {}
 
 
-def cmd_trajectories(args) -> int:
-    cfg = _config_from_args(args)
-    dists, reports = _load_distributions(cfg)
+def cmd_trajectories(args, cfg: RunConfig, dists):
     if args.selector == "top_total":
         selector = analysis.TopTotal(args.k)
     elif args.selector == "top_peak":
@@ -289,20 +201,12 @@ def cmd_trajectories(args) -> int:
             raise UsageError("--at BIN is required for top_global_contrib")
         selector = analysis.TopGlobalContrib(args.k, args.at, args.baseline)
     panel = analysis.trajectory_panel(dists, selector)
-    out = _outdir(cfg)
-    target = out / "trajectories.csv"
-    tabular.write_trajectories(target, panel)
-    extra = {"selector": args.selector, "k": args.k, "at": args.at, **reports}
-    _write_manifest(cfg, out, "trajectories", [target], extra)
-    return 0
+    products = [(("trajectories.csv",), lambda p: tabular.write_trajectories(p, panel))]
+    return products, {"selector": args.selector, "k": args.k, "at": args.at}
 
 
-def cmd_predict(args) -> int:
-    cfg = _config_from_args(args)
-    dists, reports = _load_distributions(cfg)
+def cmd_predict(args, cfg: RunConfig, dists):
     source_year, target_year = args.source_year, args.target_year
-    out = _outdir(cfg)
-
     if args.kind == "local":
         series = analysis.local_drift(dists, cfg.estimator, cfg.measure)
         source = analysis.DriftSeries(
@@ -335,17 +239,10 @@ def cmd_predict(args) -> int:
 
     predicted = forecast.predict_drift(source, [p.bin for p in observed.points])
     report = forecast.score(predicted, observed, source_year, target_year, baselines)
-    csv_path = out / f"forecast_{args.kind}.csv"
-    json_path = out / f"forecast_{args.kind}.json"
-    tabular.write_forecast(csv_path, json_path, report)
-    extra = {
-        "kind": args.kind,
-        "source_year": source_year,
-        "target_year": target_year,
-        **reports,
-    }
-    _write_manifest(cfg, out, "predict", [csv_path, json_path], extra)
-    return 0
+    files = (f"forecast_{args.kind}.csv", f"forecast_{args.kind}.json")
+    products = [(files, lambda csv_path, json_path: tabular.write_forecast(csv_path, json_path, report))]
+    extra = {"kind": args.kind, "source_year": source_year, "target_year": target_year}
+    return products, extra
 
 
 def cmd_synth(args) -> int:
@@ -415,7 +312,7 @@ def build_parser() -> _Parser:
         help="also write per-bin item counts",
     )
     _add_common(p)
-    p.set_defaults(func=cmd_drift)
+    p.set_defaults(func=_run, analyse=cmd_drift)
 
     p = sub.add_parser("contrib", help="per-pair contribution group shares, over all items")
     p.add_argument("--kind", choices=("local", "global"), default="local")
@@ -426,11 +323,11 @@ def build_parser() -> _Parser:
         help="bin start of one pair whose per-item contributions to dump",
     )
     _add_common(p, all_items=True)
-    p.set_defaults(func=cmd_contrib)
+    p.set_defaults(func=_run, analyse=cmd_contrib)
 
     p = sub.add_parser("transitions", help="group-to-group transition matrix, over all items")
     _add_common(p, all_items=True)
-    p.set_defaults(func=cmd_transitions)
+    p.set_defaults(func=_run, analyse=cmd_transitions)
 
     p = sub.add_parser(
         "trajectories", help="item-by-bin count panel, peak ordered, selected from all items"
@@ -444,14 +341,14 @@ def build_parser() -> _Parser:
     p.add_argument("--at", help="bin start for top_global_contrib")
     p.add_argument("--baseline", help="baseline bin for top_global_contrib")
     _add_common(p, all_items=True)
-    p.set_defaults(func=cmd_trajectories)
+    p.set_defaults(func=_run, analyse=cmd_trajectories)
 
     p = sub.add_parser("predict", help="seasonal-naive drift prediction, year over year")
     p.add_argument("--kind", choices=("local", "global"), default="local")
     p.add_argument("--source-year", dest="source_year", type=int, required=True)
     p.add_argument("--target-year", dest="target_year", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=_run, analyse=cmd_predict)
 
     p = sub.add_parser("synth", help="generate a synthetic event log with known truth")
     p.add_argument("--out", required=True, help="output directory")

@@ -1,13 +1,22 @@
-"""Run configuration: plain key-value config files merged with CLI overrides."""
+"""Run configuration: plain key-value config files merged with CLI overrides.
+
+Each run option is declared once, in `OPTIONS`: its key (also the CLI flag,
+with dashes), the `RunConfig` field it sets, its parser and its help text.
+Defaults live only in the `RunConfig` fields and the dataclasses they hold.
+Every value, from a config file or a flag, arrives as a string and is
+parsed once by its option's parser; an empty value leaves the key unset.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .divergence import Measure
-from .estimators import Estimator
+from .estimators import DEFAULT_RESAMPLES, Estimator
 from .events import (
     GRANULARITIES,
     Category,
@@ -18,32 +27,11 @@ from .events import (
     Sex,
 )
 
-# default cohort age bands; the source never pins an exact binning, so they
-# are configurable via the `age_bins` key
-DEFAULT_AGE_BINS = ((0, 18), (18, 30), (30, 46), (46, 65), (65, None))
 DEFAULT_TOP_K = 10_000
 
 
 class ConfigError(Exception):
     pass
-
-
-def load_config(path: str | Path) -> dict[str, str]:
-    """Parse a `key = value` file; '#' starts a comment, blank lines ignored."""
-    raw: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
-    return raw
 
 
 def parse_date(text: str, what: str) -> date:
@@ -63,14 +51,14 @@ def parse_date_range(text: str, what: str) -> DateRange:
         raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
 
 
-def parse_age_range(text: str) -> tuple[int, int | None]:
+def parse_age_range(text: str, what: str = "age_range") -> tuple[int, int | None]:
     if "-" not in text:
-        raise ConfigError(f"bad age range {text!r}: expected LO-HI or LO-")
+        raise ConfigError(f"bad {what} {text!r}: expected LO-HI or LO-")
     lo, hi = text.split("-", 1)
     try:
         return int(lo), (int(hi) if hi else None)
     except ValueError as exc:
-        raise ConfigError(f"bad age range {text!r}") from exc
+        raise ConfigError(f"bad {what} {text!r}") from exc
 
 
 def _parse_enum(enum_cls, text: str, what: str):
@@ -79,6 +67,104 @@ def _parse_enum(enum_cls, text: str, what: str):
     except ValueError:
         values = ", ".join(m.value for m in enum_cls)
         raise ConfigError(f"bad {what} {text!r}: expected one of {values}") from None
+
+
+def _as(kind):
+    """A parser that converts with ``kind`` and reports a failure as ConfigError."""
+
+    def parse(text: str, what: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(f"bad {what} {text!r}: expected {kind.__name__}") from None
+
+    return parse
+
+
+def _items(text: str) -> list[str]:
+    return [p.strip() for p in text.split(",") if p.strip()]
+
+
+def _parse_exclude(text: str, what: str) -> tuple[DateRange, ...]:
+    return tuple(parse_date_range(p, what) for p in _items(text))
+
+
+def _parse_categories(text: str, what: str) -> frozenset[Category]:
+    return frozenset(_parse_enum(Category, c, what) for c in _items(text))
+
+
+class Option(NamedTuple):
+    """One run option: the RunConfig field it sets ("field" or "field.argument"
+    for a field built from several keys), its parser and its help text."""
+
+    target: str
+    parse: Callable[[str, str], object]
+    help: str | None = None
+    metavar: str | None = None
+
+
+OPTIONS: dict[str, Option] = {
+    "input": Option("input", _as(Path), "event log CSV"),
+    "catalog": Option("catalog", _as(Path), "item_key,canonical_id mapping from `canon`"),
+    "output_dir": Option("output_dir", _as(Path), "output directory"),
+    "granularity": Option("granularity", _as(str), None, "|".join(GRANULARITIES)),
+    "window_start": Option("window.start", parse_date, None, "YYYY-MM-DD"),
+    "window_end": Option("window.end", parse_date, None, "YYYY-MM-DD"),
+    "exclude": Option(
+        "exclude",
+        _parse_exclude,
+        "date range to drop (repeatable; comma-separated in a config file), e.g. lockdown months",
+        "START:END",
+    ),
+    "sex": Option("cohort.sex", partial(_parse_enum, Sex)),
+    "education": Option("cohort.education", partial(_parse_enum, Education)),
+    "residence": Option("cohort.residence", partial(_parse_enum, Residence)),
+    "category": Option("cohort.categories", _parse_categories, "comma-separated category filter"),
+    "age_range": Option("cohort.age_range", parse_age_range, None, "LO-HI"),
+    "measure": Option("measure.kind", _as(str), None, "jsd|jsd_alpha|jaccard"),
+    "alpha": Option("measure.alpha", _as(float), "order of jsd_alpha"),
+    "estimator": Option("estimator.kind", _as(str), None, "plugin|bootstrap"),
+    "resamples": Option(
+        "estimator.n_resamples", _as(int), f"bootstrap resamples (default {DEFAULT_RESAMPLES})"
+    ),
+    "seed": Option("estimator.seed", _as(int), "root seed for all randomness"),
+    "top_k": Option(
+        "top_k", _as(int), f"restrict to the K most loaned items (default {DEFAULT_TOP_K}, 0 disables)"
+    ),
+    "max_malformed_fraction": Option("max_malformed_fraction", _as(float)),
+}
+
+# fields built from several keys; an unset field keeps its RunConfig default
+_COMPOSITES = {
+    "window": DateRange,
+    "cohort": CohortFilter,
+    "measure": Measure,
+    "estimator": Estimator,
+}
+
+
+def load_config(path: str | Path) -> dict[str, str]:
+    """Parse a `key = value` file; '#' starts a comment, blank lines ignored.
+
+    Keys must be `OPTIONS` keys; the file's unknown keys are reported together.
+    """
+    raw: dict[str, str] = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, value = stripped.split("=", 1)
+        raw[key.strip()] = value.strip()
+    unknown = [k for k in raw if k not in OPTIONS]
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    return raw
 
 
 @dataclass
@@ -92,23 +178,12 @@ class RunConfig:
     window: DateRange | None = None
     exclude: tuple[DateRange, ...] = ()
     cohort: CohortFilter = field(default_factory=CohortFilter)
-    age_bins: tuple[tuple[int, int | None], ...] = DEFAULT_AGE_BINS
     measure: Measure = field(default_factory=Measure)
-    estimator: Estimator = field(default_factory=Estimator)
+    estimator: Estimator = field(default_factory=Estimator)  # its seed is the root seed
     top_k: int = DEFAULT_TOP_K  # 0 disables restriction
-    seed: int = 0
     max_malformed_fraction: float = 0.01
 
-    def age_cohorts(self) -> list[CohortFilter]:
-        """One cohort filter per configured age bin, for per-age sweeps."""
-        return [CohortFilter(age_range=b) for b in self.age_bins]
-
     def validate(self):
-        last = -1
-        for lo, hi in self.age_bins:
-            if lo < last or (hi is not None and hi <= lo):
-                raise ConfigError(f"age_bins must be ascending half-open ranges, got {self.age_bins}")
-            last = lo
         if self.granularity not in GRANULARITIES:
             raise ConfigError(f"granularity must be one of {GRANULARITIES}")
         if self.top_k < 0:
@@ -131,7 +206,6 @@ class RunConfig:
             ),
             "exclude": [[r.start.isoformat(), r.end.isoformat()] for r in self.exclude],
             "cohort": self.cohort.label,
-            "age_bins": [[lo, hi] for lo, hi in self.age_bins],
             "measure": self.measure.label,
             "estimator": {
                 "kind": self.estimator.kind,
@@ -139,96 +213,36 @@ class RunConfig:
                 "seed": self.estimator.seed,
             },
             "top_k": self.top_k,
-            "seed": self.seed,
             "max_malformed_fraction": self.max_malformed_fraction,
         }
 
 
-def build_config(raw: dict[str, str], overrides: dict) -> RunConfig:
-    """Merge config-file keys with CLI overrides (overrides win, None means unset)."""
-    merged = dict(raw)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
+def build_config(raw: dict[str, str], overrides: dict[str, str | None]) -> RunConfig:
+    """Merge config-file keys with CLI overrides (overrides win, None means unset).
 
-    def get(key, default=None):
-        return merged.get(key, default)
-
-    window = None
-    start, end = get("window_start"), get("window_end")
-    if (start is None) != (end is None):
+    Keys are `OPTIONS` keys and values strings; each is parsed once.
+    """
+    merged = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+    fields: dict = {}
+    parts: dict[str, dict] = {name: {} for name in _COMPOSITES}
+    for key, text in merged.items():
+        if text == "":
+            continue
+        option = OPTIONS[key]
+        value = option.parse(text, key)
+        name, _, argument = option.target.partition(".")
+        if argument:
+            parts[name][argument] = value
+        else:
+            fields[name] = value
+    if len(parts["window"]) == 1:
         raise ConfigError("window_start and window_end must be given together")
-    if start is not None:
-        start_d = start if isinstance(start, date) else parse_date(str(start), "window_start")
-        end_d = end if isinstance(end, date) else parse_date(str(end), "window_end")
-        try:
-            window = DateRange(start_d, end_d)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    exclude = []
-    raw_exclude = get("exclude", ())
-    if isinstance(raw_exclude, str):
-        raw_exclude = [p for p in raw_exclude.split(",") if p.strip()]
-    for item in raw_exclude:
-        exclude.append(item if isinstance(item, DateRange) else parse_date_range(item, "exclude"))
-
-    age_bins = DEFAULT_AGE_BINS
-    raw_bins = get("age_bins")
-    if raw_bins:
-        if isinstance(raw_bins, str):
-            raw_bins = [p for p in raw_bins.split(",") if p.strip()]
-        age_bins = tuple(
-            b if isinstance(b, tuple) else parse_age_range(str(b).strip()) for b in raw_bins
-        )
-
-    cohort_kwargs = {}
-    if get("age_range"):
-        value = get("age_range")
-        cohort_kwargs["age_range"] = value if isinstance(value, tuple) else parse_age_range(value)
-    if get("sex"):
-        cohort_kwargs["sex"] = _parse_enum(Sex, get("sex"), "sex")
-    if get("education"):
-        cohort_kwargs["education"] = _parse_enum(Education, get("education"), "education")
-    if get("residence"):
-        cohort_kwargs["residence"] = _parse_enum(Residence, get("residence"), "residence")
-    if get("category"):
-        cats = [c.strip() for c in str(get("category")).split(",") if c.strip()]
-        cohort_kwargs["categories"] = frozenset(
-            _parse_enum(Category, c, "category") for c in cats
-        )
-
-    alpha = get("alpha")
-    measure_kind = str(get("measure", "jsd"))
-    if measure_kind not in ("jsd", "jsd_alpha", "jaccard"):
-        raise ConfigError(f"measure must be jsd, jsd_alpha or jaccard, got {measure_kind!r}")
-    try:
-        measure = Measure(measure_kind, float(alpha) if alpha is not None else None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
-        seed = int(get("seed", 0))
-        estimator = Estimator(
-            str(get("estimator", "plugin")), int(get("resamples", 500)), seed
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    cfg = RunConfig(
-        input=Path(get("input")) if get("input") else None,
-        catalog=Path(get("catalog")) if get("catalog") else None,
-        output_dir=Path(get("output_dir", "out")),
-        granularity=str(get("granularity", "month")),
-        window=window,
-        exclude=tuple(exclude),
-        cohort=CohortFilter(**cohort_kwargs),
-        age_bins=age_bins,
-        measure=measure,
-        estimator=estimator,
-        top_k=int(get("top_k", DEFAULT_TOP_K)),
-        seed=seed,
-        max_malformed_fraction=float(get("max_malformed_fraction", 0.01)),
-    )
+    for name, build in _COMPOSITES.items():
+        if parts[name]:
+            try:
+                fields[name] = build(**parts[name])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+    cfg = RunConfig(**fields)
     cfg.validate()
     return cfg

@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 from .analysis import N_GROUPS, DriftMatrix, DriftSeries, TrajectoryPanel
+from .canon import CanonicalCatalog
 from .divergence import ContributionBreakdown
 from .forecast import ForecastReport
 from .popularity import PopularityDistribution
@@ -88,6 +89,26 @@ def write_mapping(path: Path, mapping: dict[str, str]):
         writer.writerow(["item_key", "canonical_id"])
         for key in sorted(mapping):
             writer.writerow([key, mapping[key]])
+
+
+def read_mapping(path: Path) -> CanonicalCatalog:
+    """The catalog `write_mapping` wrote: item_key,canonical_id rows."""
+    mapping: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"item_key", "canonical_id"} <= set(reader.fieldnames):
+            raise ValueError(f"catalog {path}: expected columns item_key,canonical_id")
+        for row in reader:
+            key, cid = row["item_key"], row["canonical_id"]
+            if key is None or cid is None:
+                raise ValueError(
+                    f"catalog {path}:{reader.line_num}: expected columns item_key,canonical_id"
+                )
+            mapping[key] = cid
+    groups: dict[str, list[str]] = {}
+    for key, cid in mapping.items():
+        groups.setdefault(cid, []).append(key)
+    return CanonicalCatalog(mapping, groups)
 
 
 def read_items_table(path: Path) -> list[tuple[str, str, str]]:

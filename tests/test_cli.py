@@ -206,6 +206,53 @@ class TestExitCodes:
         assert f"{subcommand} spans all items; --top-k (config key top_k) is not accepted" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("drift", "global", "--baseline", "1999-01-01"),
+            ("contrib", "--dump-pair", "1999-01-01"),
+            ("transitions", "--exclude", "2022-03-01:2022-03-31"),
+            ("trajectories", "--selector", "top_global_contrib", "--at", "1999-01-01"),
+            ("predict", "--source-year", "1999", "--target-year", "2000"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_failed_analysis_leaves_no_output_dir(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(*argv, "--input", str(FIXTURE), "--output-dir", str(out)) == 2
+        assert capsys.readouterr().err.startswith("driftkit: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_age_bins_is_not_an_option(self, tmp_path, capsys, where):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {FIXTURE}\n" + ("age_bins = 0-30,30-\n" if where == "config" else ""))
+        flags = ("--age-bins", "0-30,30-") if where == "flag" else ()
+        code = run("drift", "local", "--config", str(cfg), "--output-dir", str(tmp_path / "out"), *flags)
+        assert code == 1
+        assert "age" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "catalog",
+        [
+            "key,canonical\n",
+            "key,canonical\nK0000001,K0000001\n",
+            "item_key,canonical_id\nK0000001\n",
+        ],
+        ids=["no-rows", "rows", "short-row"],
+    )
+    def test_catalog_without_mapping_columns_is_data_error(self, tmp_path, capsys, catalog):
+        path = tmp_path / "mapping.csv"
+        path.write_text(catalog)
+        code = run(
+            "drift", "local", "--input", str(FIXTURE), "--catalog", str(path),
+            "--output-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "expected columns item_key,canonical_id" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_config_merging_and_flag_override(self, static_log, tmp_path):
@@ -248,6 +295,59 @@ class TestConfigFile:
             )
             == 2  # gap in the bin sequence is a data error for local drift
         )
+
+    # each run option as a config-file line and as its flag: one parse path
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"catalog": "mapping.csv"},
+            {"output_dir": "out"},
+            {"granularity": "week"},
+            {"window_start": "2022-02-01", "window_end": "2022-05-31"},
+            {"exclude": ["2022-02-01:2022-02-10", "2022-05-01:2022-05-03"]},
+            {"sex": "female"},
+            {"education": "higher"},
+            {"residence": "large_city"},
+            {"category": "adult_fiction,children"},
+            {"age_range": "30-46"},
+            {"measure": "jsd_alpha", "alpha": "2"},
+            {"measure": "jaccard"},
+            {"estimator": "bootstrap", "resamples": "20", "seed": "5"},
+            {"seed": "7"},
+            {"top_k": "5"},
+            {"max_malformed_fraction": "0.5"},
+        ],
+        ids=lambda options: "+".join(options),
+    )
+    def test_config_line_and_flag_agree(self, tmp_path, options):
+        mapping = tmp_path / "mapping.csv"
+        mapping.write_text("item_key,canonical_id\nK0000002,K0000001\n")
+        options = {
+            k: str(tmp_path / v) if k in ("catalog", "output_dir") else v
+            for k, v in options.items()
+        }
+        out = options.get("output_dir", str(tmp_path / "out"))
+
+        def manifest_config(config_lines, flags):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"input = {FIXTURE}\n" + "".join(config_lines))
+            argv = ["drift", "global", "--config", str(cfg), *flags]
+            if "output_dir" not in options:
+                argv += ["--output-dir", out]
+            assert run(*argv) == 0
+            return json.loads((Path(out) / "manifest.json").read_text())["config"]
+
+        from_file = manifest_config(
+            [f"{k} = {','.join(v) if isinstance(v, list) else v}\n" for k, v in options.items()],
+            [],
+        )
+        flags = []
+        for key, value in options.items():
+            for v in value if isinstance(value, list) else [value]:
+                flags += ["--" + key.replace("_", "-"), v]
+        assert manifest_config([], flags) == from_file
+        if "output_dir" not in options:
+            assert manifest_config([], []) != from_file
 
 
 class TestIngestCheckAndCanon:

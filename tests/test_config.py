@@ -3,7 +3,6 @@ from datetime import date
 import pytest
 
 from driftkit.config import (
-    DEFAULT_AGE_BINS,
     ConfigError,
     build_config,
     load_config,
@@ -35,14 +34,14 @@ class TestBuildConfig:
         cfg = build_config({}, {})
         assert cfg.granularity == "month"
         assert cfg.top_k == 10_000
-        assert cfg.age_bins == DEFAULT_AGE_BINS
+        assert cfg.estimator.seed == 0
         assert cfg.estimator.kind == "plugin" and cfg.estimator.n_resamples == 500
 
     def test_overrides_win(self):
         raw = {"granularity": "week", "seed": "3"}
         cfg = build_config(raw, {"granularity": "quarter"})
         assert cfg.granularity == "quarter"
-        assert cfg.seed == 3
+        assert cfg.estimator.seed == 3
 
     def test_window_and_exclusions(self):
         cfg = build_config(
@@ -70,16 +69,6 @@ class TestBuildConfig:
         assert cfg.cohort.age_range == (30, 46)
         assert len(cfg.cohort.categories) == 2
 
-    def test_age_bins_configurable(self):
-        cfg = build_config({"age_bins": "0-30,30-60,60-"}, {})
-        assert cfg.age_bins == ((0, 30), (30, 60), (60, None))
-        cohorts = cfg.age_cohorts()
-        assert [c.age_range for c in cohorts] == [(0, 30), (30, 60), (60, None)]
-
-    def test_age_bins_must_ascend(self):
-        with pytest.raises(ConfigError, match="ascending"):
-            build_config({"age_bins": "30-20"}, {})
-
     def test_age_range_syntax(self):
         assert parse_age_range("65-") == (65, None)
         with pytest.raises(ConfigError):
@@ -96,5 +85,16 @@ class TestBuildConfig:
     def test_manifest_dict_round_trips_key_facts(self):
         cfg = build_config({"seed": "9", "top_k": "0"}, {})
         d = cfg.as_dict()
-        assert d["seed"] == 9 and d["top_k"] == 0
-        assert d["age_bins"][0] == [0, 18]
+        assert d["estimator"]["seed"] == 9 and d["top_k"] == 0
+        assert "seed" not in d and "age_bins" not in d
+
+    @pytest.mark.parametrize(
+        "key", ["top_k", "max_malformed_fraction", "resamples", "seed", "alpha"]
+    )
+    def test_bad_number_is_config_error(self, key):
+        with pytest.raises(ConfigError, match=f"bad {key} 'many'"):
+            build_config({key: "many"}, {})
+
+    def test_empty_value_leaves_default(self):
+        cfg = build_config({"top_k": "", "sex": "", "exclude": ""}, {})
+        assert cfg.top_k == 10_000 and cfg.cohort.is_empty() and cfg.exclude == ()
