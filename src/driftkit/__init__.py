@@ -37,6 +37,7 @@ from .estimators import (
     plugin_jsd,
 )
 from .events import (
+    BinTally,
     Category,
     CohortFilter,
     DateRange,
@@ -53,6 +54,7 @@ from .events import (
     assign_bin,
     ingest,
     matches,
+    read_events,
 )
 from .forecast import ForecastReport, predict_drift, score
 from .popularity import (

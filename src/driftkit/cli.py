@@ -2,10 +2,14 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
 The run options are declared in `config.OPTIONS`; each becomes a flag of
-every analysis subcommand and a config-file key. The analysis subcommands
-share one run frame (`_run`): build the config, load the distributions,
-run the analysis, and only then create the output directory, write the
-products and the manifest, so a failed analysis leaves no output directory.
+every analysis subcommand and a config-file key. `ingest-check` and the
+analysis subcommands read the log through one call (`_ingest`): a single
+pass from CSV rows to per-bin counts, with the window, exclusions, cohort
+and granularity applied per row. The analysis subcommands share one run
+frame (`_run`): build the config, load the distributions (ingest, then
+`aggregate` through the catalog), run the analysis, and only then create
+the output directory, write the products and the manifest, so a failed
+analysis leaves no output directory.
 The estimator's seed is the one root seed, so identical inputs and flags
 give byte-identical outputs.
 """
@@ -36,6 +40,16 @@ class DataError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); our contract says 1
         raise UsageError(message)
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser, all_items: bool = False):
@@ -70,20 +84,27 @@ def _config_from_args(args) -> RunConfig:
                 f"{args.subcommand} spans all items; --top-k (config key top_k) is not accepted"
             )
         overrides["top_k"] = "0"
-    return build_config(raw, overrides)
-
-
-def _load_distributions(cfg: RunConfig):
+    cfg = build_config(raw, overrides)
     if cfg.input is None:
         raise UsageError("an input event log is required (--input or config `input`)")
-    catalog = tabular.read_mapping(cfg.catalog) if cfg.catalog else None
-    stream, ingest_report = ingest(
+    return cfg
+
+
+def _ingest(cfg: RunConfig):
+    return ingest(
         cfg.input,
         window=cfg.window,
         exclude=cfg.exclude,
         max_malformed_fraction=cfg.max_malformed_fraction,
+        granularity=cfg.granularity,
+        cohort=cfg.cohort,
     )
-    dists, agg_report = aggregate(stream, cfg.granularity, cfg.cohort, catalog)
+
+
+def _load_distributions(cfg: RunConfig):
+    catalog = tabular.read_mapping(cfg.catalog) if cfg.catalog else None
+    stream, ingest_report = _ingest(cfg)
+    dists, agg_report = aggregate(stream, catalog)
     if not dists:
         raise DataError("no events matched the window and cohort filters")
     if cfg.top_k:
@@ -122,15 +143,7 @@ def _run(args) -> int:
 
 
 def cmd_ingest_check(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.input is None:
-        raise UsageError("an input event log is required")
-    stream, report = ingest(
-        cfg.input,
-        window=cfg.window,
-        exclude=cfg.exclude,
-        max_malformed_fraction=cfg.max_malformed_fraction,
-    )
+    stream, report = _ingest(_config_from_args(args))
     try:
         for _ in stream:
             pass
@@ -337,7 +350,7 @@ def build_parser() -> _Parser:
         choices=("top_total", "top_peak", "top_global_contrib"),
         default="top_total",
     )
-    p.add_argument("--k", type=int, default=1000)
+    p.add_argument("--k", type=_at_least_one, default=1000, help="items to keep (>= 1)")
     p.add_argument("--at", help="bin start for top_global_contrib")
     p.add_argument("--baseline", help="baseline bin for top_global_contrib")
     _add_common(p, all_items=True)

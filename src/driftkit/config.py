@@ -142,6 +142,9 @@ _COMPOSITES = {
     "estimator": Estimator,
 }
 
+# keys read only by one kind of measure or estimator: key -> (field, kind)
+_ONLY_WITH = {"alpha": ("measure", "jsd_alpha"), "resamples": ("estimator", "bootstrap")}
+
 
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a `key = value` file; '#' starts a comment, blank lines ignored.
@@ -243,6 +246,12 @@ def build_config(raw: dict[str, str], overrides: dict[str, str | None]) -> RunCo
                 fields[name] = build(**parts[name])
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+    for key, (name, kind) in _ONLY_WITH.items():
+        if merged.get(key) and fields[name].kind != kind:
+            raise ConfigError(
+                f"--{key} (config key {key}) applies only to {name} {kind}, "
+                f"not {fields[name].kind}"
+            )
     cfg = RunConfig(**fields)
     cfg.validate()
     return cfg

@@ -1,4 +1,12 @@
-"""Loan-event data model: records, time bins, cohort filters, and CSV ingestion."""
+"""Loan-event data model: records, time bins, cohort filters, and CSV ingestion.
+
+`ingest` is the one pass from CSV rows to per-bin counts: it checks each
+row, resolves each distinct date string once into its bin, window and
+exclusion status, applies the cohort (`CohortFilter.admits`, the one cohort
+rule) and counts the row's raw item key into its bin's `BinTally`, with no
+per-row record. `read_events` is the per-row `LoanEvent` reader, kept as
+the reference that tests compare the tally against.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -167,6 +176,37 @@ class CohortFilter:
             and self.categories is None
         )
 
+    def admits(
+        self,
+        on: date,
+        birthdate: date | None,
+        category: Category,
+        sex: Sex,
+        education: Education,
+        residence: Residence,
+        tally: Counter | None = None,
+    ) -> bool:
+        """The cohort rule: True iff every set field matches a loan made on ``on``.
+
+        An age filter against a loan with no birthdate never matches; such
+        loans are counted under ``missing_birthdate`` in the optional tally.
+        """
+        if self.age_range is not None:
+            if birthdate is None:
+                if tally is not None:
+                    tally["missing_birthdate"] += 1
+                return False
+            lo, hi = self.age_range
+            years = age_at(birthdate, on)
+            if years < lo or (hi is not None and years >= hi):
+                return False
+        return (
+            (self.sex is None or sex is self.sex)
+            and (self.education is None or education is self.education)
+            and (self.residence is None or residence is self.residence)
+            and (self.categories is None or category in self.categories)
+        )
+
     @property
     def label(self) -> str:
         if self.is_empty():
@@ -190,29 +230,16 @@ EVERYONE = CohortFilter()
 
 
 def matches(event: LoanEvent, cohort: CohortFilter, tally: Counter | None = None) -> bool:
-    """True iff all present filter fields match the event.
-
-    An age filter against an event with no birthdate never matches; such
-    events are counted under ``missing_birthdate`` in the optional tally.
-    """
-    if cohort.age_range is not None:
-        if event.birthdate is None:
-            if tally is not None:
-                tally["missing_birthdate"] += 1
-            return False
-        lo, hi = cohort.age_range
-        years = age_at(event.birthdate, event.date)
-        if years < lo or (hi is not None and years >= hi):
-            return False
-    if cohort.sex is not None and event.sex is not cohort.sex:
-        return False
-    if cohort.education is not None and event.education is not cohort.education:
-        return False
-    if cohort.residence is not None and event.residence is not cohort.residence:
-        return False
-    if cohort.categories is not None and event.category not in cohort.categories:
-        return False
-    return True
+    """True iff all present filter fields match the event (`CohortFilter.admits`)."""
+    return cohort.admits(
+        event.date,
+        event.birthdate,
+        event.category,
+        event.sex,
+        event.education,
+        event.residence,
+        tally,
+    )
 
 
 # CSV ingestion ---------------------------------------------------------------
@@ -244,7 +271,11 @@ class SchemaError(IngestError):
 
 @dataclass
 class IngestReport:
-    """Row accounting for one ingestion pass; filled while the stream is consumed."""
+    """Row accounting for one ingestion pass; complete once the stream is exhausted.
+
+    Every row is counted once: rows == accepted + out_of_window + excluded
+    + malformed.
+    """
 
     path: str = ""
     rows: int = 0
@@ -270,30 +301,43 @@ class IngestReport:
 
 _MAX_EXAMPLES = 10
 
+# the optional enum columns: schema field, value lookup, default member
+_ENUM_FIELDS = (
+    ("category", _CATEGORY, Category.OTHER),
+    ("medium", _MEDIUM, Medium.OTHER),
+    ("sex", _SEX, Sex.UNKNOWN),
+    ("education", _EDUCATION, Education.UNKNOWN),
+    ("residence", _RESIDENCE, Residence.UNKNOWN),
+)
 
-def ingest(
-    path: str | Path,
-    schema: dict[str, str] | None = None,
-    window: DateRange | None = None,
-    exclude: tuple[DateRange, ...] | list[DateRange] = (),
-    max_malformed_fraction: float = 0.01,
-) -> tuple[Iterator[LoanEvent], IngestReport]:
-    """Stream loan events from a delimited file.
+_BAD = object()  # cache entry of a date or birthdate string that does not parse
 
-    Returns the event iterator and a report that fills in as the stream is
-    consumed. Events outside the window or inside an exclusion range are
-    skipped and counted. If, once the file is exhausted, more than
-    ``max_malformed_fraction`` of rows were malformed, the iterator raises
-    IngestError. The header is validated eagerly; mandatory columns are
-    date, item_key, title, and loaner_id.
+
+@dataclass(slots=True)
+class BinTally:
+    """Raw item-key loan counts of one time bin, from one ingestion pass.
+
+    ``rows`` counts the accepted rows dated in the bin; ``counts`` holds the
+    ones the cohort (labelled ``cohort``) admitted, and ``skipped`` why
+    others were not admitted.
     """
+
+    bin: TimeBin
+    cohort: str
+    counts: Counter = field(default_factory=Counter)
+    rows: int = 0
+    skipped: Counter = field(default_factory=Counter)
+
+
+def _open_log(path, schema):
+    """Open a log (a UTF-8 BOM is skipped) and map schema fields to columns."""
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     for fld in MANDATORY_FIELDS:
         if fld not in schema:
             raise SchemaError(f"schema does not map mandatory field {fld!r}")
 
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
@@ -303,6 +347,9 @@ def ingest(
     except StopIteration:
         handle.close()
         raise SchemaError(f"{path}: empty file, no header row")
+    except UnicodeDecodeError as exc:
+        handle.close()
+        raise _decode_error(path, 0, exc) from exc
 
     positions = {name: i for i, name in enumerate(header)}
     columns: dict[str, int | None] = {}
@@ -314,7 +361,214 @@ def ingest(
             raise SchemaError(f"{path}: missing mandatory column {col!r}")
         else:
             columns[fld] = None
+    return handle, reader, columns
 
+
+def _decode_error(path, rows: int, exc: UnicodeDecodeError) -> IngestError:
+    byte = exc.object[exc.start : exc.start + 1].hex()
+    return IngestError(
+        f"{path}: undecodable byte 0x{byte} after data row {rows}: the file is not UTF-8"
+    )
+
+
+def _check_malformed(report: IngestReport, max_bad: float):
+    if report.rows and report.malformed > max_bad * report.rows:
+        raise IngestError(
+            f"{report.path}: {report.malformed} of {report.rows} rows malformed "
+            f"(threshold {max_bad:.1%}); first offenders: {report.malformed_examples}"
+        )
+
+
+def ingest(
+    path: str | Path,
+    schema: dict[str, str] | None = None,
+    window: DateRange | None = None,
+    exclude: tuple[DateRange, ...] | list[DateRange] = (),
+    max_malformed_fraction: float = 0.01,
+    granularity: str = "month",
+    cohort: CohortFilter = EVERYONE,
+) -> tuple[Iterator[BinTally], IngestReport]:
+    """Tally a delimited loan log into per-bin counts of raw item keys, in one pass.
+
+    Returns the tally iterator and a report that is complete once the
+    iterator is exhausted. Each row is checked in this order, and the first
+    failed check counts it malformed: short row, bad date, empty item_key,
+    title or loaner_id, bad birthdate, birthdate after the loan date. A
+    well-formed row outside the window or inside an exclusion range is
+    skipped and counted; every other row is accepted, its unknown non-empty
+    enum values are counted, and it is counted in its bin if ``cohort``
+    admits it. Each distinct date and birthdate string is
+    parsed once. Once the file is exhausted, the iterator raises IngestError
+    if more than ``max_malformed_fraction`` of rows were malformed, and
+    otherwise yields one `BinTally` per bin with accepted rows, in bin
+    order. The header is validated eagerly; a UTF-8 BOM is skipped, and
+    bytes that are not UTF-8 raise IngestError naming the last good row.
+    """
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"unknown granularity: {granularity!r}")
+    handle, reader, columns = _open_log(path, schema)
+    report = IngestReport(path=str(path))
+    tallies = _tally_stream(
+        handle,
+        reader,
+        columns,
+        window,
+        tuple(exclude),
+        max_malformed_fraction,
+        granularity,
+        cohort,
+        report,
+    )
+    return tallies, report
+
+
+def _tally_stream(handle, reader, columns, window, exclude, max_bad, granularity, cohort, report):
+    i_date, i_key, i_title, i_loaner = (columns[f] for f in MANDATORY_FIELDS)
+    i_birth = columns.get("birthdate")
+    ncols_min = max(i for i in columns.values() if i is not None) + 1
+    enums = [(columns.get(f), lookup, default) for f, lookup, default in _ENUM_FIELDS]
+    present = [i for i, _, _ in enums if i is not None]
+    if len(present) > 1:
+        enum_values = itemgetter(*present)
+    else:  # itemgetter of one index returns a bare value, and of none fails
+        enum_values = lambda row: tuple(row[i] for i in present)  # noqa: E731
+    admits = None if cohort.is_empty() else cohort.admits
+    label = cohort.label
+    from_iso = date.fromisoformat
+
+    tallies: dict[int, BinTally] = {}
+    # date string -> _BAD or (date, its bin's tally or None, 0 kept | 1 out of window | 2 excluded)
+    days: dict[str, object] = {}
+    births: dict[str, object] = {}  # birthdate string -> date or _BAD
+    # enum strings -> (unknown non-empty values, (category, sex, education, residence))
+    demographics: dict[tuple, tuple] = {}
+
+    def resolve_day(text):
+        try:
+            d = from_iso(text)
+        except ValueError:
+            return _BAD
+        if window is not None and not (window.start <= d <= window.end):
+            return d, None, 1
+        for rng in exclude:
+            if rng.start <= d <= rng.end:
+                return d, None, 2
+        tb = assign_bin(d, granularity)
+        tally = tallies.get(tb.index)
+        if tally is None:
+            tally = tallies[tb.index] = BinTally(tb, label)
+        return d, tally, 0
+
+    def resolve_birth(text):
+        try:
+            return from_iso(text)
+        except ValueError:
+            return _BAD
+
+    def resolve_enums(values):
+        values = iter(values)
+        flagged, members = 0, []
+        for i, lookup, default in enums:
+            raw = next(values) if i is not None else ""
+            member = lookup.get(raw)
+            if member is None:
+                member = default
+                flagged += bool(raw)
+            members.append(member)
+        category, _, sex, education, residence = members
+        return flagged, (category, sex, education, residence)
+
+    examples = report.malformed_examples
+
+    def reject(row_no, reason):
+        nonlocal malformed
+        malformed += 1
+        if len(examples) < _MAX_EXAMPLES:
+            examples.append(f"row {row_no}: {reason}")
+
+    rows = malformed = out_of_window = excluded = flagged = 0
+    try:
+        for rows, row in enumerate(reader, 1):
+            if len(row) < ncols_min:
+                reject(rows, "short row")
+                continue
+            text = row[i_date]
+            day = days.get(text)
+            if day is None:
+                day = days[text] = resolve_day(text)
+            if day is _BAD:
+                reject(rows, f"bad date {text!r}")
+                continue
+            key = row[i_key]
+            if not key or not row[i_title] or not row[i_loaner]:
+                reject(rows, "empty mandatory field")
+                continue
+            d, tally, skip = day
+
+            birth = None
+            if i_birth is not None:
+                raw = row[i_birth]
+                if raw:
+                    birth = births.get(raw)
+                    if birth is None:
+                        birth = births[raw] = resolve_birth(raw)
+                    if birth is _BAD:
+                        reject(rows, f"bad birthdate {raw!r}")
+                        continue
+                    if birth > d:
+                        reject(rows, "birthdate after loan date")
+                        continue
+
+            if skip:
+                if skip == 1:
+                    out_of_window += 1
+                else:
+                    excluded += 1
+                continue
+
+            values = enum_values(row)
+            demo = demographics.get(values)
+            if demo is None:
+                demo = demographics[values] = resolve_enums(values)
+            flagged += demo[0]
+            tally.rows += 1
+            if admits is not None and not admits(d, birth, *demo[1], tally.skipped):
+                continue
+            tally.counts[key] += 1
+    except UnicodeDecodeError as exc:
+        raise _decode_error(report.path, rows, exc) from exc
+    finally:
+        handle.close()
+        report.rows = rows
+        report.malformed = malformed
+        report.out_of_window = out_of_window
+        report.excluded = excluded
+        report.accepted = rows - malformed - out_of_window - excluded
+        report.flagged_enum_values = flagged
+
+    _check_malformed(report, max_bad)
+    days.clear()
+    for index in sorted(tallies):
+        tally = tallies.pop(index)
+        if tally.rows:
+            yield tally
+
+
+def read_events(
+    path: str | Path,
+    schema: dict[str, str] | None = None,
+    window: DateRange | None = None,
+    exclude: tuple[DateRange, ...] | list[DateRange] = (),
+    max_malformed_fraction: float = 0.01,
+) -> tuple[Iterator[LoanEvent], IngestReport]:
+    """Stream one `LoanEvent` per accepted row: the reference reader.
+
+    It applies `ingest`'s row checks, window, exclusions and report, row by
+    row, without binning or a cohort, and raises IngestError at the end of a
+    log with too many malformed rows, after yielding its events. Tests
+    compare `ingest` plus `aggregate` with it plus `matches`.
+    """
+    handle, reader, columns = _open_log(path, schema)
     report = IngestReport(path=str(path))
     events = _event_stream(
         handle, reader, columns, window, tuple(exclude), max_malformed_fraction, report
@@ -442,11 +696,9 @@ def _event_stream(handle, reader, columns, window, exclude, max_bad, report):
                 education,
                 residence,
             )
+    except UnicodeDecodeError as exc:
+        raise _decode_error(report.path, report.rows, exc) from exc
     finally:
         handle.close()
 
-    if report.rows and report.malformed > max_bad * report.rows:
-        raise IngestError(
-            f"{report.path}: {report.malformed} of {report.rows} rows malformed "
-            f"(threshold {max_bad:.1%}); first offenders: {report.malformed_examples}"
-        )
+    _check_malformed(report, max_bad)

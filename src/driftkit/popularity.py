@@ -1,4 +1,8 @@
-"""Sparse popularity distributions per (time bin, cohort), with top-K restriction."""
+"""Sparse popularity distributions per (time bin, cohort), with top-K restriction.
+
+`aggregate` maps the per-bin raw-key tallies of `events.ingest` through the
+canonical catalog into `PopularityDistribution`s.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .canon import CanonicalCatalog
-from .events import EVERYONE, CohortFilter, LoanEvent, TimeBin, assign_bin, matches
+from .events import BinTally, TimeBin
 
 log = logging.getLogger(__name__)
 
@@ -47,58 +51,40 @@ class AggregateReport:
 
 
 def aggregate(
-    events: Iterable[LoanEvent],
-    granularity: str = "month",
-    cohort: CohortFilter = EVERYONE,
+    tallies: Iterable[BinTally],
     catalog: CanonicalCatalog | None = None,
 ) -> tuple[list[PopularityDistribution], AggregateReport]:
-    """Tally events into one distribution per non-empty bin, keyed by canonical id.
+    """Turn `ingest`'s per-bin tallies into one distribution per bin with loans.
 
-    Item keys missing from the catalog pass through as their own canonical id
-    and are counted in the report. Returns distributions sorted by bin.
+    Each raw item key is mapped through the catalog once per bin; keys
+    missing from the catalog pass through as their own canonical id, and
+    their loans are counted in the report. Returns the distributions in the
+    tallies' order, which `ingest` makes bin order.
     """
     report = AggregateReport()
-    take_all = cohort.is_empty()
     mapping = catalog.mapping if catalog is not None else None
-    bin_index: dict[object, int] = {}
-    bin_meta: dict[int, TimeBin] = {}
-    per_bin: dict[int, Counter] = {}
-    tally = report.skipped
-
-    for ev in events:
-        report.events_seen += 1
-        if not take_all and not matches(ev, cohort, tally):
+    dists = []
+    for tally in tallies:
+        report.events_seen += tally.rows
+        report.skipped.update(tally.skipped)
+        if not tally.counts:
             continue
-        report.matched += 1
-        d = ev.date
-        idx = bin_index.get(d)
-        if idx is None:
-            tb = assign_bin(d, granularity)
-            idx = tb.index
-            bin_index[d] = idx
-            bin_meta[idx] = tb
-            if idx not in per_bin:
-                per_bin[idx] = Counter()
-        key = ev.item_key
-        if mapping is not None:
-            cid = mapping.get(key)
-            if cid is None:
-                report.unknown_keys += 1
-                cid = key
+        if mapping is None:
+            counts = dict(tally.counts)
         else:
-            cid = key
-        per_bin[idx][cid] += 1
+            counts = {}
+            for key, c in tally.counts.items():
+                cid = mapping.get(key)
+                if cid is None:
+                    report.unknown_keys += c
+                    cid = key
+                counts[cid] = counts.get(cid, 0) + c
+        total = sum(counts.values())
+        report.matched += total
+        dists.append(PopularityDistribution(tally.bin, tally.cohort, counts, total))
 
-    if not per_bin:
-        log.warning("no events matched cohort %r", cohort.label)
-        return [], report
-
-    dists = [
-        PopularityDistribution(
-            bin_meta[idx], cohort.label, dict(per_bin[idx]), sum(per_bin[idx].values())
-        )
-        for idx in sorted(per_bin)
-    ]
+    if not dists:
+        log.warning("no events matched the window and cohort filters")
     return dists, report
 
 

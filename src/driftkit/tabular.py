@@ -93,18 +93,21 @@ def write_mapping(path: Path, mapping: dict[str, str]):
 
 def read_mapping(path: Path) -> CanonicalCatalog:
     """The catalog `write_mapping` wrote: item_key,canonical_id rows."""
+    expected = "expected columns item_key,canonical_id"
     mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"item_key", "canonical_id"} <= set(reader.fieldnames):
-            raise ValueError(f"catalog {path}: expected columns item_key,canonical_id")
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        positions = {name: i for i, name in enumerate(next(reader, ()))}
+        if not {"item_key", "canonical_id"} <= positions.keys():
+            raise ValueError(f"catalog {path}: {expected}")
+        i_key, i_cid = positions["item_key"], positions["canonical_id"]
+        width = max(i_key, i_cid) + 1
         for row in reader:
-            key, cid = row["item_key"], row["canonical_id"]
-            if key is None or cid is None:
-                raise ValueError(
-                    f"catalog {path}:{reader.line_num}: expected columns item_key,canonical_id"
-                )
-            mapping[key] = cid
+            if len(row) < width:
+                if not row:  # a blank line
+                    continue
+                raise ValueError(f"catalog {path}:{reader.line_num}: {expected}")
+            mapping[row[i_key]] = row[i_cid]
     groups: dict[str, list[str]] = {}
     for key, cid in mapping.items():
         groups.setdefault(cid, []).append(key)
@@ -113,7 +116,7 @@ def read_mapping(path: Path) -> CanonicalCatalog:
 
 def read_items_table(path: Path) -> list[tuple[str, str, str]]:
     """(item_key, title, creator) rows for the canonicalizer."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"item_key", "title"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected columns item_key,title[,creator]")

@@ -1,11 +1,13 @@
 import csv
 import dataclasses
 import json
+import re
 from datetime import date
 from pathlib import Path
 
 import pytest
 
+from driftkit import tabular
 from driftkit.cli import main
 from driftkit.synthmarket import SynthMarketSpec, generate
 
@@ -252,6 +254,80 @@ class TestExitCodes:
         assert code == 2
         assert "expected columns item_key,canonical_id" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("k", ["-5", "0"])
+    def test_trajectories_k_below_one_is_usage_error(self, tmp_path, capsys, k):
+        out = tmp_path / "out"
+        assert run("trajectories", "--input", str(FIXTURE), "--k", k, "--output-dir", str(out)) == 1
+        assert "--k" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, applies",
+        [
+            ("alpha", "2", "measure jsd_alpha, not jsd"),
+            ("resamples", "7", "estimator bootstrap, not plugin"),
+        ],
+    )
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_option_the_run_never_reads_is_usage_error(
+        self, tmp_path, capsys, option, value, applies, where
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {FIXTURE}\n" + (f"{option} = {value}\n" if where == "config" else ""))
+        flags = (f"--{option}", value) if where == "flag" else ()
+        out = tmp_path / "out"
+        assert run("drift", "local", "--config", str(cfg), "--output-dir", str(out), *flags) == 1
+        err = capsys.readouterr().err
+        assert f"--{option} (config key {option}) applies only to {applies}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", [("ingest-check",), ("drift", "local")])
+    def test_undecodable_byte_names_file_and_row(self, tmp_path, capsys, subcommand):
+        lines = FIXTURE.read_bytes().splitlines(keepends=True)[:301]
+        bad_row = 250  # data row with one stray Latin-1 byte in its title
+        lines[bad_row] = lines[bad_row].replace(b",a", b",\xe9", 1)
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        assert run(*subcommand, "--input", str(path), "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        match = re.search(r"undecodable byte 0xe9 after data row (\d+)", err)
+        assert str(path) in err and match
+        assert int(match.group(1)) < bad_row
+        assert not out.exists()
+
+
+class TestInputEncoding:
+    def test_bom_prefixed_log_runs_as_the_plain_one(self, tmp_path, capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + FIXTURE.read_bytes())
+        reports = {}
+        for name, path in (("plain", FIXTURE), ("bom", bom)):
+            out = tmp_path / name
+            assert run("drift", "local", "--input", str(path), "--output-dir", str(out)) == 0
+            assert run("ingest-check", "--input", str(path)) == 0
+            printed = json.loads(capsys.readouterr().out)
+            manifest = json.loads((out / "manifest.json").read_text())["config"]["run"]
+            assert printed == manifest["ingest"]
+            reports[name] = {k: v for k, v in printed.items() if k != "path"}
+        assert reports["bom"] == reports["plain"]
+        assert reports["plain"]["accepted"] == 1000
+        assert (tmp_path / "bom" / "drift_local.csv").read_bytes() == (
+            tmp_path / "plain" / "drift_local.csv"
+        ).read_bytes()
+
+    def test_bom_prefixed_items_table_and_catalog(self, tmp_path):
+        items = tmp_path / "items.csv"
+        items.write_bytes(
+            b"\xef\xbb\xbfitem_key,title,creator\n"
+            b"k1,Pixel Ninja,A. Writer\nk2,Pixel Ninja 1,A. Writer\n"
+        )
+        catalog = tmp_path / "mapping.csv"
+        assert run("canon", "--items", str(items), "--out", str(catalog)) == 0
+        catalog.write_bytes(b"\xef\xbb\xbf" + catalog.read_bytes() + b"\n")  # and a blank line
+        assert tabular.read_mapping(catalog).mapping == {"k1": "k1", "k2": "k1"}
 
 
 class TestConfigFile:

@@ -21,6 +21,7 @@ from driftkit.events import (
     bin_from_index,
     ingest,
     matches,
+    read_events,
 )
 
 from conftest import event_row, write_events_csv
@@ -121,16 +122,25 @@ class TestCohorts:
         assert matches(make_event(category=Category.CHILDREN), flt)
 
 
+def accepted_rows(stream):
+    return sum(tally.rows for tally in stream)
+
+
 class TestIngest:
     def test_clean_file(self, tmp_path):
         rows = [event_row(loan_date=f"2022-03-{d:02d}", item_key=f"k{d}") for d in range(1, 11)]
         path = write_events_csv(tmp_path / "ev.csv", rows)
         window = DateRange(date(2022, 1, 1), date(2022, 12, 31))
         stream, report = ingest(path, window=window)
-        events = list(stream)
-        assert len(events) == 10
+        (tally,) = list(stream)
+        assert tally.bin == assign_bin(date(2022, 3, 1), "month")
+        assert tally.counts == {f"k{d}": 1 for d in range(1, 11)}
+        assert tally.rows == 10
         assert report.accepted == 10
         assert report.malformed == 0 and report.out_of_window == 0
+        events, _ = read_events(path, window=window)
+        events = list(events)
+        assert len(events) == 10
         assert events[0].item_key == "k1" and events[0].date == date(2022, 3, 1)
         assert events[0].sex is Sex.FEMALE
 
@@ -138,7 +148,7 @@ class TestIngest:
         rows = [event_row(), event_row(loan_date="2019-01-01")]
         path = write_events_csv(tmp_path / "ev.csv", rows)
         stream, report = ingest(path, window=DateRange(date(2022, 1, 1), date(2022, 12, 31)))
-        assert len(list(stream)) == 1
+        assert accepted_rows(stream) == 1
         assert report.out_of_window == 1
 
     def test_exclusion_ranges(self, tmp_path):
@@ -147,7 +157,7 @@ class TestIngest:
         stream, report = ingest(
             path, exclude=[DateRange(date(2022, 4, 1), date(2022, 4, 30))]
         )
-        assert len(list(stream)) == 1
+        assert accepted_rows(stream) == 1
         assert report.excluded == 1
 
     def test_malformed_threshold_aborts(self, tmp_path):
@@ -164,7 +174,7 @@ class TestIngest:
         rows += [event_row(item_key="")]
         path = write_events_csv(tmp_path / "ev.csv", rows)
         stream, report = ingest(path, max_malformed_fraction=0.02)
-        assert len(list(stream)) == 99
+        assert accepted_rows(stream) == 99
         assert report.malformed == 1
 
     def test_bad_dates_and_birthdates_are_malformed(self, tmp_path):
@@ -176,17 +186,20 @@ class TestIngest:
         ]
         path = write_events_csv(tmp_path / "ev.csv", rows)
         stream, report = ingest(path, max_malformed_fraction=1.0)
-        assert len(list(stream)) == 1
+        assert accepted_rows(stream) == 1
         assert report.malformed == 3
         assert any("birthdate" in ex for ex in report.malformed_examples)
 
     def test_unknown_enum_flagged_but_accepted(self, tmp_path):
         rows = [event_row(category="weird"), event_row(category="")]
         path = write_events_csv(tmp_path / "ev.csv", rows)
-        stream, report = ingest(path)
-        events = list(stream)
-        assert [e.category for e in events] == [Category.OTHER, Category.OTHER]
+        other = CohortFilter(categories=frozenset({Category.OTHER}))
+        stream, report = ingest(path, cohort=other)
+        (tally,) = list(stream)
+        assert tally.counts == {"k1": 2}  # both read as Category.OTHER
         assert report.flagged_enum_values == 1  # empty string is sanctioned unknown
+        events, _ = read_events(path)
+        assert [e.category for e in events] == [Category.OTHER, Category.OTHER]
 
     def test_missing_mandatory_column(self, tmp_path):
         path = write_events_csv(
@@ -207,7 +220,10 @@ class TestIngest:
         )
         schema = {"date": "when", "item_key": "book", "title": "name", "loaner_id": "who"}
         stream, report = ingest(path, schema=schema)
-        (ev,) = list(stream)
+        (tally,) = list(stream)
+        assert tally.counts == {"K9": 1}
+        events, _ = read_events(path, schema=schema)
+        (ev,) = list(events)
         assert ev.item_key == "K9" and ev.loaner_id == "L7"
         assert ev.creator == "" and ev.birthdate is None
 

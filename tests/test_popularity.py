@@ -5,7 +5,7 @@ from datetime import date
 import pytest
 
 from driftkit.canon import CanonicalCatalog
-from driftkit.events import Category, CohortFilter, LoanEvent, Medium, Sex, Education, Residence
+from driftkit.events import EVERYONE, CohortFilter, Sex, ingest
 from driftkit.popularity import (
     aggregate,
     check_probabilities,
@@ -13,86 +13,92 @@ from driftkit.popularity import (
     restrict_top_k,
 )
 
-from conftest import dist
+from conftest import dist, event_row, write_events_csv
 
 
-def loan(day, item, category=Category.ADULT_FICTION, sex=Sex.FEMALE, birthdate=date(1980, 1, 1)):
-    return LoanEvent(
-        day,
-        item,
-        f"title {item}",
-        "writer",
-        category,
-        Medium.PHYSICAL,
-        "L1",
-        birthdate,
-        sex,
-        Education.HIGHER,
-        Residence.LARGE_CITY,
+def loan(day, item, category="adult_fiction", sex="female", birthdate="1980-01-01"):
+    return event_row(
+        loan_date=day.isoformat(),
+        item_key=item,
+        title=f"title {item}",
+        creator="writer",
+        category=category,
+        sex=sex,
+        birthdate=birthdate,
     )
 
 
+def aggregate_log(path, rows, cohort=EVERYONE, catalog=None):
+    """`ingest` a log of the given rows, then `aggregate` its tallies."""
+    stream, _ = ingest(write_events_csv(path, rows), cohort=cohort)
+    return aggregate(stream, catalog)
+
+
 class TestAggregate:
-    def test_single_month_tally(self):
+    def test_single_month_tally(self, tmp_path):
         events = [loan(date(2022, 3, 5), "a")] * 3 + [loan(date(2022, 3, 9), "b")]
-        dists, report = aggregate(events)
+        dists, report = aggregate_log(tmp_path / "ev.csv", events)
         assert len(dists) == 1
         assert dists[0].counts == {"a": 3, "b": 1}
         assert dists[0].total == 4
         assert report.matched == 4
 
-    def test_catalog_merges_raw_keys(self):
+    def test_catalog_merges_raw_keys(self, tmp_path):
         catalog = CanonicalCatalog({"a1": "a", "a2": "a"}, {"a": ["a1", "a2"]})
         events = [loan(date(2022, 3, 5), "a1"), loan(date(2022, 3, 6), "a2")]
-        dists, report = aggregate(events, catalog=catalog)
+        dists, report = aggregate_log(tmp_path / "ev.csv", events, catalog=catalog)
         assert dists[0].counts == {"a": 2}
         assert report.unknown_keys == 0
 
-    def test_unknown_keys_pass_through_counted(self):
+    def test_unknown_keys_pass_through_counted(self, tmp_path):
         catalog = CanonicalCatalog({"a1": "a"}, {"a": ["a1"]})
         events = [loan(date(2022, 3, 5), "zz")]
-        dists, report = aggregate(events, catalog=catalog)
+        dists, report = aggregate_log(tmp_path / "ev.csv", events, catalog=catalog)
         assert dists[0].counts == {"zz": 1}
         assert report.unknown_keys == 1
 
-    def test_bins_sorted_and_separate(self):
+    def test_bins_sorted_and_separate(self, tmp_path):
         events = [loan(date(2022, 4, 1), "b"), loan(date(2022, 3, 31), "a")]
-        dists, _ = aggregate(events)
+        dists, _ = aggregate_log(tmp_path / "ev.csv", events)
         assert [d.bin.start for d in dists] == [date(2022, 3, 1), date(2022, 4, 1)]
         assert [d.counts for d in dists] == [{"a": 1}, {"b": 1}]
 
-    def test_cohort_filter_and_empty_result(self, caplog):
-        events = [loan(date(2022, 3, 5), "a", sex=Sex.MALE)]
+    def test_cohort_filter_and_empty_result(self, tmp_path, caplog):
+        events = [loan(date(2022, 3, 5), "a", sex="male")]
         with caplog.at_level("WARNING"):
-            dists, report = aggregate(events, cohort=CohortFilter(sex=Sex.FEMALE))
+            dists, report = aggregate_log(
+                tmp_path / "ev.csv", events, cohort=CohortFilter(sex=Sex.FEMALE)
+            )
         assert dists == []
         assert "no events matched" in caplog.text
 
-    def test_age_skips_counted(self):
-        events = [loan(date(2022, 3, 5), "a", birthdate=None)]
-        _, report = aggregate(events, cohort=CohortFilter(age_range=(30, 46)))
+    def test_age_skips_counted(self, tmp_path):
+        events = [loan(date(2022, 3, 5), "a", birthdate="")]
+        _, report = aggregate_log(
+            tmp_path / "ev.csv", events, cohort=CohortFilter(age_range=(30, 46))
+        )
         assert report.skipped["missing_birthdate"] == 1
 
-    def test_sampled_month_matches_tally_oracle(self, rng):
+    def test_sampled_month_matches_tally_oracle(self, tmp_path, rng):
         items = [f"i{k}" for k in range(50)]
         probs = rng.random(50)
         probs /= probs.sum()
         draws = rng.choice(50, size=2000, p=probs)
         events = [loan(date(2022, 5, 1 + int(i) % 28), items[i]) for i in draws]
         oracle = Counter(items[i] for i in draws)
-        dists, _ = aggregate(events)
+        dists, _ = aggregate_log(tmp_path / "ev.csv", events)
         assert dists[0].counts == dict(oracle)
 
-    def test_linearity(self, rng):
+    def test_linearity(self, tmp_path, rng):
         # aggregating a concatenation equals summing per-bin counts
         all_events = [
             loan(date(2022, 1 + int(rng.integers(0, 3)), 1 + int(rng.integers(0, 28))), f"i{rng.integers(0, 20)}")
             for _ in range(400)
         ]
         half = len(all_events) // 2
-        joined, _ = aggregate(all_events)
-        first, _ = aggregate(all_events[:half])
-        second, _ = aggregate(all_events[half:])
+        joined, _ = aggregate_log(tmp_path / "all.csv", all_events)
+        first, _ = aggregate_log(tmp_path / "first.csv", all_events[:half])
+        second, _ = aggregate_log(tmp_path / "second.csv", all_events[half:])
         merged: dict[int, Counter] = {}
         for part in (first, second):
             for d in part:

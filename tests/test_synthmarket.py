@@ -6,7 +6,7 @@ import pytest
 
 from driftkit.events import assign_bin
 from driftkit.popularity import PopularityDistribution, aggregate
-from driftkit.events import ingest
+from driftkit.events import ingest, read_events
 from driftkit.estimators import plugin_jsd
 from driftkit.synthmarket import (
     GroundTruth,
@@ -196,7 +196,7 @@ class TestGenerate:
     def test_loaner_demographics_consistent(self, tmp_path):
         spec = small_spec(loans_per_bin=800, n_bins=1)
         generate(spec, tmp_path / "events.csv")
-        stream, _ = ingest(tmp_path / "events.csv")
+        stream, _ = read_events(tmp_path / "events.csv")
         seen = {}
         for ev in stream:
             key = ev.loaner_id
