@@ -52,6 +52,7 @@ from .events import (
     TimeBin,
     age_at,
     assign_bin,
+    find_bin,
     ingest,
     matches,
     read_events,
@@ -59,9 +60,9 @@ from .events import (
 from .forecast import ForecastReport, predict_drift, score
 from .popularity import (
     PopularityDistribution,
-    RelativeDistribution,
     aggregate,
     normalize as normalize_distribution,
+    rank_items,
     restrict_top_k,
 )
 from .synthmarket import GroundTruth, SynthMarketSpec, generate, sample_counts, true_jsd

@@ -11,6 +11,8 @@ Contribution groups band the ranking that ``jsd_with_contributions`` builds
 ranks 1-100, 101-1K, 1K-10K, 10K-50K and the rest. The bands are defined
 here and nowhere else: ``DEFAULT_GROUP_BOUNDS``, ``N_GROUPS`` and
 ``group_of_rank``.
+
+Bins are found by ``events.find_bin`` and selectors rank by ``popularity.rank_items``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .divergence import BinRows, ContributionBreakdown, Measure, jsd_with_contri
 # analysis.divergence_of, where bench/tracing.py hooks the dict API
 from .divergence import divergence_of
 from .estimators import Estimator, bootstrap_divergence
-from .events import TimeBin, bin_from_index
-from .popularity import PopularityDistribution, normalize, require_loans
+from .events import TimeBin, bin_from_index, find_bin
+from .popularity import PopularityDistribution, normalize, rank_items, require_loans
 
 DEFAULT_GROUP_BOUNDS = (100, 1000, 10000, 50000)
 N_GROUPS = len(DEFAULT_GROUP_BOUNDS) + 1
@@ -156,18 +158,6 @@ def local_drift(
     return DriftSeries("local", measure.label, points)
 
 
-def _find_baseline(dists, baseline) -> int:
-    for k, dist in enumerate(dists):
-        if (
-            dist.bin == baseline
-            or dist.bin.start == baseline
-            or dist.bin.label == baseline
-        ):
-            return k
-    name = baseline.label if isinstance(baseline, TimeBin) else baseline
-    raise ValueError(f"baseline bin {name} not present in distribution list")
-
-
 def global_drift(
     dists: list[PopularityDistribution],
     baseline: TimeBin | date | str,
@@ -175,7 +165,7 @@ def global_drift(
     measure: Measure = Measure("jsd"),
 ) -> DriftSeries:
     """Drift between a fixed baseline bin and every other bin."""
-    b = _find_baseline(dists, baseline)
+    b = find_bin([d.bin for d in dists], baseline)
     base = dists[b].bin
     pairs = [(b, t) for t, dist in enumerate(dists) if dist.bin != base]
     values = _evaluate_pairs(dists, pairs, estimator, measure)
@@ -269,24 +259,30 @@ def transition_matrix(schedule: list[tuple[str, dict[str, int]]]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TopTotal:
+class _Selector:
+    """The k items a trajectory panel keeps; k below 1 is rejected."""
+
+    k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+
+
+@dataclass(frozen=True)
+class TopTotal(_Selector):
     """Items with the highest total loans across all bins."""
 
-    k: int
-
 
 @dataclass(frozen=True)
-class TopPeak:
+class TopPeak(_Selector):
     """Items with the highest single-bin loan count."""
 
-    k: int
-
 
 @dataclass(frozen=True)
-class TopGlobalContrib:
+class TopGlobalContrib(_Selector):
     """Items contributing most to global drift at one bin (default baseline: first bin)."""
 
-    k: int
     at: str  # bin label
     baseline: str | None = None
 
@@ -297,13 +293,6 @@ class TrajectoryPanel:
     items: list[str]
     peak_bins: list[TimeBin]
     counts: np.ndarray  # len(items) x len(bins)
-
-
-def _find_dist(dists, label) -> PopularityDistribution:
-    for dist in dists:
-        if dist.bin.label == label:
-            return dist
-    raise ValueError(f"bin {label} not present in distribution list")
 
 
 def trajectory_panel(
@@ -318,9 +307,10 @@ def trajectory_panel(
     """
     if not dists:
         raise ValueError("trajectory panel needs at least one bin")
+    bins = [d.bin for d in dists]
     if isinstance(selector, TopGlobalContrib):
-        base = _find_dist(dists, selector.baseline) if selector.baseline else dists[0]
-        at = _find_dist(dists, selector.at)
+        base = dists[find_bin(bins, selector.baseline)] if selector.baseline else dists[0]
+        at = dists[find_bin(bins, selector.at)]
         _, breakdown = jsd_with_contributions(normalize(base), normalize(at))
         selected = breakdown.ranking[: selector.k]
     else:
@@ -336,20 +326,16 @@ def trajectory_panel(
                         score[item] = c
         else:
             raise TypeError(f"unknown selector {selector!r}")
-        selected = sorted(score, key=lambda k: (-score[k], k))[: selector.k]
+        selected = rank_items(score, selector.k)
 
-    bins = [d.bin for d in dists]
-    n_bins = len(bins)
-    peak_idx: dict[str, int] = {}
-    counts = np.zeros((len(selected), n_bins), dtype=np.int64)
+    counts = np.zeros((len(selected), len(bins)), dtype=np.int64)
     col = {item: r for r, item in enumerate(selected)}
     for j, dist in enumerate(dists):
         for item, c in dist.counts.items():
             r = col.get(item)
             if r is not None:
                 counts[r, j] = c
-    for item, r in col.items():
-        peak_idx[item] = int(np.argmax(counts[r]))
+    peak_idx = {item: int(np.argmax(counts[r])) for item, r in col.items()}
 
     ordered = sorted(selected, key=lambda k: (peak_idx[k], k))
     perm = [col[item] for item in ordered]

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import analysis, canon, forecast, synthmarket, tabular
 from .config import OPTIONS, ConfigError, RunConfig, build_config, load_config, parse_date
-from .events import IngestError, ingest
+from .events import IngestError, find_bin, ingest
 from .popularity import aggregate, restrict_top_k
 
 
@@ -182,7 +182,7 @@ def cmd_contrib(args, cfg: RunConfig, dists):
     if args.kind == "local":
         pairs = list(zip(dists, dists[1:]))
     else:
-        base = dists[analysis._find_baseline(dists, args.baseline or dists[0].bin.label)]
+        base = dists[find_bin([d.bin for d in dists], args.baseline or dists[0].bin.label)]
         pairs = [(base, d) for d in dists if d.bin != base.bin]
     rows, products = [], []
     for left, right in pairs:

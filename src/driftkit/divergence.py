@@ -26,8 +26,8 @@ one item index, normalizes each once and caches its side term, so each pair
 pays only for its pair term; it runs the same steps with math.fsum, so its
 values equal the dict API's bit for bit. Bootstrap resamples go through
 ``divergence_of_arrays``, which sums with np.sum (its docstring says why).
-Inputs can be RelativeDistribution objects or plain mappings of item id to
-probability.
+Inputs are plain mappings of item id to probability, as
+``popularity.normalize`` returns them.
 
 ``jsd_with_contributions`` ranks the items once, where it computes their
 partials, by the one ranking rule: descending partial, then descending
@@ -107,10 +107,6 @@ class ContributionBreakdown:
     ranking: list[str]
 
 
-def _probs(dist) -> Mapping[str, float]:
-    return getattr(dist, "probs", dist)
-
-
 def _aligned(p_map: Mapping[str, float], q_map: Mapping[str, float]):
     """Union-support alignment of two sparse mappings into paired arrays."""
     ids = list(p_map)
@@ -136,10 +132,9 @@ def _entropy_bits(p: np.ndarray, total) -> float:
     return -total(nz * np.log2(nz)) + 0.0
 
 
-def shannon_entropy(dist) -> float:
+def shannon_entropy(dist: Mapping[str, float]) -> float:
     """H(P) = -sum p_i log2 p_i, in bits."""
-    p_map = _probs(dist)
-    p = np.fromiter(p_map.values(), dtype=np.float64, count=len(p_map))
+    p = np.fromiter(dist.values(), dtype=np.float64, count=len(dist))
     return _entropy_bits(p, _fsum)
 
 
@@ -170,7 +165,7 @@ def jsd_with_contributions(
     Python strings, because numpy's string sort treats trailing NULs
     differently.
     """
-    ids, p, q = _aligned(_probs(P), _probs(Q))
+    ids, p, q = _aligned(P, Q)
     parts = _partial_terms(p, q)
     # Every call pays for the ranking, so a fast unstable sort by partial
     # places the items whose partial is unique, and one lexsort puts only the
@@ -203,7 +198,7 @@ def _tsallis_from_array(p: np.ndarray, alpha: float, total) -> float:
     return (total(nz**alpha) - 1.0) / (1.0 - alpha) + 0.0
 
 
-def tsallis_entropy(dist, alpha: float) -> float:
+def tsallis_entropy(dist: Mapping[str, float], alpha: float) -> float:
     """Order-alpha entropy (sum p_i^alpha - 1) / (1 - alpha), logarithm-free units.
 
     alpha = 1 is the Shannon limit and must go through shannon_entropy instead.
@@ -212,8 +207,7 @@ def tsallis_entropy(dist, alpha: float) -> float:
         raise ValueError("alpha must be >= 0")
     if alpha == 1:
         raise ValueError("order 1 is the Shannon limit; use shannon_entropy")
-    p_map = _probs(dist)
-    p = np.fromiter(p_map.values(), dtype=np.float64, count=len(p_map))
+    p = np.fromiter(dist.values(), dtype=np.float64, count=len(dist))
     return _tsallis_from_array(p, alpha, _fsum)
 
 
@@ -300,7 +294,7 @@ def _measure_value(measure: Measure, p: np.ndarray, q: np.ndarray, total) -> flo
 
 def divergence_of(measure: Measure, P, Q, n_left=None, n_right=None) -> DriftValue:
     """``measure`` between two sparse distributions, over their union support."""
-    _, p, q = _aligned(_probs(P), _probs(Q))
+    _, p, q = _aligned(P, Q)
     return DriftValue(_measure_value(measure, p, q, _fsum), measure.label, n_left, n_right)
 
 

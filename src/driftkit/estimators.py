@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import DriftValue, Measure, _aligned, divergence_of, divergence_of_arrays
-from .popularity import PopularityDistribution, normalize
+from .popularity import PopularityDistribution, normalize, require_loans
 
 DEFAULT_RESAMPLES = 500
 
@@ -54,8 +54,7 @@ class BootstrapEstimate:
 def plugin_divergence(
     A: PopularityDistribution, B: PopularityDistribution, measure: Measure = Measure("jsd")
 ) -> DriftValue:
-    if A.total < 1 or B.total < 1:
-        raise ValueError("both inputs need at least one loan")
+    """Plug-in ``measure`` between two bins; a bin without loans raises (`normalize`)."""
     return divergence_of(measure, normalize(A), normalize(B), A.total, B.total)
 
 
@@ -72,8 +71,8 @@ def bootstrap_divergence(
     seed: int = 0,
 ) -> BootstrapEstimate:
     """Bootstrap bias-corrected divergence with a resampling standard error."""
-    if A.total < 1 or B.total < 1:
-        raise ValueError("both inputs need at least one loan")
+    require_loans(A)
+    require_loans(B)
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
 

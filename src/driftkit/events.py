@@ -5,7 +5,8 @@ row, resolves each distinct date string once into its bin, window and
 exclusion status, applies the cohort (`CohortFilter.admits`, the one cohort
 rule) and counts the row's raw item key into its bin's `BinTally`, with no
 per-row record. `read_events` is the per-row `LoanEvent` reader, kept as
-the reference that tests compare the tally against.
+the reference that tests compare the tally against. `open_table` opens every
+input table (log, catalog, items table); `find_bin` finds a bin by name.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from datetime import date, timedelta
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -146,6 +147,14 @@ def bin_from_index(index: int, granularity: str) -> TimeBin:
     if granularity == "quarter":
         return assign_bin(date(1970 + index // 4, (index % 4) * 3 + 1, 1), granularity)
     raise ValueError(f"unknown granularity: {granularity!r}")
+
+
+def find_bin(bins: Sequence[TimeBin], which: TimeBin | date | str) -> int:
+    """Position of the bin that is ``which``, starts on it, or is labelled with it."""
+    for k, tb in enumerate(bins):
+        if tb == which or tb.start == which or tb.label == which:
+            return k
+    raise ValueError(f"bin {getattr(which, 'label', which)} not present")
 
 
 def age_at(birthdate: date, on: date) -> int:
@@ -329,11 +338,16 @@ class BinTally:
     skipped: Counter = field(default_factory=Counter)
 
 
-def _open_log(path, schema):
-    """Open a log (a UTF-8 BOM is skipped) and map schema fields to columns."""
-    schema = dict(DEFAULT_SCHEMA if schema is None else schema)
-    for fld in MANDATORY_FIELDS:
-        if fld not in schema:
+def open_table(path, columns: dict[str, str], mandatory, missing: str):
+    """Open a UTF-8 table (a BOM is skipped) and find its columns by header name.
+
+    Returns the handle, a ``csv.reader`` past the header, and the position of
+    each field of ``columns`` (field -> header name), None if absent. A file
+    that cannot be read or decoded raises IngestError; no header, or no column
+    for a ``mandatory`` field, SchemaError (``missing`` with path and column).
+    """
+    for fld in mandatory:
+        if fld not in columns:
             raise SchemaError(f"schema does not map mandatory field {fld!r}")
 
     try:
@@ -352,16 +366,30 @@ def _open_log(path, schema):
         raise _decode_error(path, 0, exc) from exc
 
     positions = {name: i for i, name in enumerate(header)}
-    columns: dict[str, int | None] = {}
-    for fld, col in schema.items():
-        if col in positions:
-            columns[fld] = positions[col]
-        elif fld in MANDATORY_FIELDS:
+    for fld, col in columns.items():
+        if fld in mandatory and col not in positions:
             handle.close()
-            raise SchemaError(f"{path}: missing mandatory column {col!r}")
-        else:
-            columns[fld] = None
-    return handle, reader, columns
+            raise SchemaError(missing.format(path=path, column=col))
+    return handle, reader, {fld: positions.get(col) for fld, col in columns.items()}
+
+
+def table_rows(path, handle, reader, width: int, missing: str):
+    """The non-blank data rows of a table from `open_table`, closing it at the end.
+
+    A row of fewer than ``width`` fields raises SchemaError (``missing`` with
+    PATH:LINE); a byte that is not UTF-8, IngestError naming the last row read.
+    """
+    rows = 0
+    with handle:
+        try:
+            for rows, row in enumerate(reader, 1):
+                if len(row) < width:
+                    if not row:
+                        continue
+                    raise SchemaError(missing.format(path=f"{path}:{reader.line_num}"))
+                yield row
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, rows, exc) from exc
 
 
 def _decode_error(path, rows: int, exc: UnicodeDecodeError) -> IngestError:
@@ -369,6 +397,11 @@ def _decode_error(path, rows: int, exc: UnicodeDecodeError) -> IngestError:
     return IngestError(
         f"{path}: undecodable byte 0x{byte} after data row {rows}: the file is not UTF-8"
     )
+
+
+def _open_log(path, schema):
+    schema = DEFAULT_SCHEMA if schema is None else schema
+    return open_table(path, schema, MANDATORY_FIELDS, "{path}: missing mandatory column {column!r}")
 
 
 def _check_malformed(report: IngestReport, max_bad: float):

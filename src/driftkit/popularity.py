@@ -1,7 +1,9 @@
 """Sparse popularity distributions per (time bin, cohort), with top-K restriction.
 
 `aggregate` maps the per-bin raw-key tallies of `events.ingest` through the
-canonical catalog into `PopularityDistribution`s.
+canonical catalog into `PopularityDistribution`s. Three rules live only
+here: `require_loans`, `normalize` (to a plain dict of item shares) and
+`rank_items` (descending score, then id), which every item selection uses.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .canon import CanonicalCatalog
 from .events import BinTally, TimeBin
@@ -27,19 +29,6 @@ class PopularityDistribution:
     cohort: str
     counts: dict[str, int]
     total: int
-
-    def support(self) -> set[str]:
-        return set(self.counts)
-
-
-@dataclass
-class RelativeDistribution:
-    """Strictly positive probabilities over canonical items, summing to one."""
-
-    probs: dict[str, float]
-
-    def support(self) -> set[str]:
-        return set(self.probs)
 
 
 @dataclass
@@ -94,11 +83,20 @@ def require_loans(dist: PopularityDistribution) -> None:
         raise ValueError(f"empty distribution for bin {dist.bin.label}")
 
 
-def normalize(dist: PopularityDistribution) -> RelativeDistribution:
-    """Relative popularity: each count divided by the bin's loan total."""
+def normalize(dist: PopularityDistribution) -> dict[str, float]:
+    """Relative popularity: a plain dict of each item's count over the bin's loan total."""
     require_loans(dist)
     total = dist.total
-    return RelativeDistribution({k: c / total for k, c in dist.counts.items()})
+    return {k: c / total for k, c in dist.counts.items()}
+
+
+def rank_items(scores: Mapping[str, int], k: int | None = None) -> list[str]:
+    """Item ids by descending score, then id; only the first k if k is given."""
+
+    def key(item):
+        return -scores[item], item
+
+    return sorted(scores, key=key) if k is None else heapq.nsmallest(k, scores, key=key)
 
 
 def restrict_top_k(
@@ -119,10 +117,7 @@ def restrict_top_k(
         if len(totals) < k:
             log.info("only %d distinct items, fewer than k=%d; keeping all", len(totals), k)
         return list(dists)
-    kept = {
-        key
-        for key, _ in heapq.nsmallest(k, totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    }
+    kept = set(rank_items(totals, k))
     out = []
     for dist in dists:
         counts = {key: c for key, c in dist.counts.items() if key in kept}
@@ -132,10 +127,10 @@ def restrict_top_k(
     return out
 
 
-def check_probabilities(rel: RelativeDistribution, tol: float = 1e-12) -> bool:
+def check_probabilities(probs: Mapping[str, float], tol: float = 1e-12) -> bool:
     """Exact-summation check that probabilities form a distribution."""
-    if not rel.probs:
+    if not probs:
         return False
-    if any(p <= 0.0 for p in rel.probs.values()):
+    if any(p <= 0.0 for p in probs.values()):
         return False
-    return abs(math.fsum(rel.probs.values()) - 1.0) <= tol
+    return abs(math.fsum(probs.values()) - 1.0) <= tol

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .divergence import jsd
-from .events import TimeBin, assign_bin
+from .events import TimeBin, assign_bin, find_bin
 from .popularity import PopularityDistribution
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -164,13 +164,7 @@ class GroundTruth:
         self.seasonal_ranks: np.ndarray = seasonal_ranks
 
     def bin_index(self, which: int | TimeBin | str) -> int:
-        if isinstance(which, int):
-            return which
-        label = which.label if isinstance(which, TimeBin) else which
-        for i, b in enumerate(self.bins):
-            if b.label == label:
-                return i
-        raise ValueError(f"bin {label} not in ground truth")
+        return which if isinstance(which, int) else find_bin(self.bins, which)
 
     def distribution(self, which: int | TimeBin | str) -> dict[str, float]:
         i = self.bin_index(which)

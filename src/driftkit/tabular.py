@@ -1,7 +1,8 @@
-"""Delimited-text and JSON output for every analysis product.
+"""Delimited-text and JSON output for every analysis product; catalog and items-table input.
 
 Floats are written with repr (shortest round-trip form) and manifests carry
-no timestamps, so identical runs produce byte-identical files.
+no timestamps, so identical runs produce byte-identical files. Input tables
+are read like logs, through `events.open_table` and `events.table_rows`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from pathlib import Path
 from .analysis import N_GROUPS, DriftMatrix, DriftSeries, TrajectoryPanel
 from .canon import CanonicalCatalog
 from .divergence import ContributionBreakdown
+from .events import open_table, table_rows
 from .forecast import ForecastReport
-from .popularity import PopularityDistribution
+from .popularity import PopularityDistribution, rank_items
 
 GROUP_LABELS = [f"g{g}" for g in range(1, N_GROUPS + 1)]
 
@@ -79,8 +81,8 @@ def write_distributions(path: Path, dists: list[PopularityDistribution]):
         writer.writerow(["bin_start", "canonical_id", "count"])
         for dist in dists:
             label = dist.bin.label
-            for item, c in sorted(dist.counts.items(), key=lambda kv: (-kv[1], kv[0])):
-                writer.writerow([label, item, c])
+            for item in rank_items(dist.counts):
+                writer.writerow([label, item, dist.counts[item]])
 
 
 def write_mapping(path: Path, mapping: dict[str, str]):
@@ -93,21 +95,12 @@ def write_mapping(path: Path, mapping: dict[str, str]):
 
 def read_mapping(path: Path) -> CanonicalCatalog:
     """The catalog `write_mapping` wrote: item_key,canonical_id rows."""
-    expected = "expected columns item_key,canonical_id"
-    mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        positions = {name: i for i, name in enumerate(next(reader, ()))}
-        if not {"item_key", "canonical_id"} <= positions.keys():
-            raise ValueError(f"catalog {path}: {expected}")
-        i_key, i_cid = positions["item_key"], positions["canonical_id"]
-        width = max(i_key, i_cid) + 1
-        for row in reader:
-            if len(row) < width:
-                if not row:  # a blank line
-                    continue
-                raise ValueError(f"catalog {path}:{reader.line_num}: {expected}")
-            mapping[row[i_key]] = row[i_cid]
+    missing = "catalog {path}: expected columns item_key,canonical_id"
+    names = ("item_key", "canonical_id")
+    handle, reader, cols = open_table(path, {c: c for c in names}, names, missing)
+    i_key, i_cid = cols["item_key"], cols["canonical_id"]
+    rows = table_rows(path, handle, reader, max(i_key, i_cid) + 1, missing)
+    mapping = {row[i_key]: row[i_cid] for row in rows}
     groups: dict[str, list[str]] = {}
     for key, cid in mapping.items():
         groups.setdefault(cid, []).append(key)
@@ -115,15 +108,16 @@ def read_mapping(path: Path) -> CanonicalCatalog:
 
 
 def read_items_table(path: Path) -> list[tuple[str, str, str]]:
-    """(item_key, title, creator) rows for the canonicalizer."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"item_key", "title"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns item_key,title[,creator]")
-        return [
-            (row["item_key"], row["title"], row.get("creator", "") or "")
-            for row in reader
-        ]
+    """(item_key, title, creator) rows for the canonicalizer; a missing creator reads as ""."""
+    missing = "{path}: expected columns item_key,title[,creator]"
+    names = ("item_key", "title", "creator")
+    handle, reader, cols = open_table(path, {c: c for c in names}, names[:2], missing)
+    i_key, i_title, i_creator = cols["item_key"], cols["title"], cols["creator"]
+    items = []
+    for row in table_rows(path, handle, reader, max(i_key, i_title) + 1, missing):
+        has_creator = i_creator is not None and i_creator < len(row)
+        items.append((row[i_key], row[i_title], row[i_creator] if has_creator else ""))
+    return items
 
 
 def write_forecast(csv_path: Path, json_path: Path, report: ForecastReport):

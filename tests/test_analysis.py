@@ -307,3 +307,20 @@ class TestTrajectories:
         panel = trajectory_panel(dists, TopGlobalContrib(2, at="2022-03-01"))
         assert set(panel.items) <= {"a", "b", "c"}
         assert "c" in panel.items  # the entrant drives drift vs the baseline
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [TopTotal, TopPeak, lambda k: TopGlobalContrib(k, at="2022-02-01")],
+        ids=["top_total", "top_peak", "top_global_contrib"],
+    )
+    def test_selector_rejects_k_below_one(self, build, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            build(k)
+
+    def test_selector_bins_found_by_label(self):
+        dists = months([(1, {"a": 5}), (2, {"a": 1, "b": 4}), (3, {"b": 5})])
+        panel = trajectory_panel(dists, TopGlobalContrib(1, at="2022-03-01", baseline="2022-02-01"))
+        assert panel.items == ["a"]
+        with pytest.raises(ValueError, match="bin 2022-07-01 not present"):
+            trajectory_panel(dists, TopGlobalContrib(1, at="2022-07-01"))

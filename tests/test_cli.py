@@ -298,6 +298,39 @@ class TestExitCodes:
         assert int(match.group(1)) < bad_row
         assert not out.exists()
 
+    @pytest.mark.parametrize("table", ["items", "catalog"])
+    def test_undecodable_byte_in_catalog_or_items_table(self, tmp_path, capsys, table):
+        header = "item_key,title,creator" if table == "items" else "item_key,canonical_id"
+        width = header.count(",") + 1
+        rows = [",".join([f"K{i:04d}"] * width) for i in range(2000)]
+        bad_row = 1500
+        path = tmp_path / f"{table}.csv"
+        path.write_bytes("\n".join([header] + rows).encode().replace(b"K1500", b"K\xe9", 1))
+        out = tmp_path / "out"
+        if table == "items":
+            code = run("canon", "--items", str(path), "--out", str(out / "mapping.csv"))
+        else:
+            code = run(
+                "drift", "local", "--input", str(FIXTURE), "--catalog", str(path),
+                "--output-dir", str(out),
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        match = re.search(r"undecodable byte 0xe9 after data row (\d+)", err)
+        assert str(path) in err and match
+        assert int(match.group(1)) < bad_row
+        assert not out.exists()
+
+    def test_short_items_row_is_data_error(self, tmp_path, capsys):
+        items = tmp_path / "items.csv"
+        items.write_text("item_key,title,creator\nK1,Pixel Ninja,A. Writer\nK2\n")
+        out = tmp_path / "out"
+        assert run("canon", "--items", str(items), "--out", str(out / "mapping.csv")) == 2
+        assert f"driftkit: {items}:3: expected columns item_key,title[,creator]\n" == (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
 class TestInputEncoding:
     def test_bom_prefixed_log_runs_as_the_plain_one(self, tmp_path, capsys):
@@ -445,6 +478,21 @@ class TestIngestCheckAndCanon:
         with open(out, newline="") as fh:
             mapping = {r["item_key"]: r["canonical_id"] for r in csv.DictReader(fh)}
         assert mapping == {"k1": "k1", "k2": "k1", "k3": "k3"}
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            "item_key,title,creator\nk1,Pixel Ninja\nk2,Ninja,A. Writer\n",
+            "title,item_key\nPixel Ninja,k1\nNinja,k2\n",
+        ],
+        ids=["short-creator", "no-creator-column"],
+    )
+    def test_items_table_missing_creator_reads_empty(self, tmp_path, table):
+        items = tmp_path / "items.csv"
+        items.write_text(table)
+        creator = "A. Writer" if "creator" in table else ""
+        expected = [("k1", "Pixel Ninja", ""), ("k2", "Ninja", creator)]
+        assert tabular.read_items_table(items) == expected
 
 
 class TestAnalysisCommands:

@@ -13,7 +13,6 @@ from driftkit.divergence import (
     shannon_entropy,
     tsallis_entropy,
 )
-from driftkit.popularity import RelativeDistribution
 
 from conftest import random_rel, random_rel_pair
 
@@ -30,9 +29,6 @@ class TestShannonEntropy:
 
     def test_uniform_eight(self):
         assert shannon_entropy({c: 1 / 8 for c in "abcdefgh"}) == 3.0
-
-    def test_accepts_relative_distribution(self):
-        assert shannon_entropy(RelativeDistribution(dict(HALF))) == 1.0
 
 
 class TestJsd:

@@ -3,7 +3,8 @@
 The dict API (exact fsum), the plug-in views' per-view rows (exact fsum) and
 the bootstrap's array call (np.sum) run the same kernels; these checks tie
 them together and pin the dict API's order independence. The contribution
-ranking is checked on the same random count tables.
+ranking is checked on the same random count tables, and so are the partial
+sum against the entropy form and invariance under renaming the items.
 """
 
 import random
@@ -78,14 +79,47 @@ def test_one_ranking_rule(counts_a, counts_b, seed):
     parts = [partials[k] for k in ranking]
     assert all(x >= y for x, y in zip(parts, parts[1:]))
     # the rule written as a plain three-key sort is the reference
-    p, q = P.probs, Q.probs
     assert ranking == sorted(
-        partials, key=lambda k: (-partials[k], -(p.get(k, 0.0) + q.get(k, 0.0)), k)
+        partials, key=lambda k: (-partials[k], -(P.get(k, 0.0) + Q.get(k, 0.0)), k)
     )
 
     P_shuffled = normalize(dist(shuffled(counts_a, seed)))
     Q_shuffled = normalize(dist(shuffled(counts_b, seed + 1)))
     assert jsd_with_contributions(P_shuffled, Q_shuffled)[1].ranking == ranking
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables, tables)
+def test_partial_sum_equals_the_entropy_form(counts_a, counts_b):
+    value, breakdown = jsd_with_contributions(normalize(dist(counts_a)), normalize(dist(counts_b)))
+    assert abs(breakdown.total_bits - value.value) <= 1e-12
+
+
+new_names = st.lists(
+    st.text(min_size=1, max_size=6), min_size=len(ITEMS), max_size=len(ITEMS), unique=True
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables, tables, new_names, st.integers(min_value=0, max_value=2**32 - 1))
+def test_relabeling_items(counts_a, counts_b, names, seed):
+    """Values ignore item ids; the ranking sees them only through their order."""
+    P, Q = normalize(dist(counts_a)), normalize(dist(counts_b))
+    values = [divergence_of(measure, P, Q).value for measure in MEASURES]
+    _, breakdown = jsd_with_contributions(P, Q)
+    order_preserving = dict(zip(sorted(ITEMS), sorted(names)))
+    any_renaming = dict(zip(ITEMS, names))
+    for rename in (order_preserving, any_renaming):
+        P2 = normalize(dist(shuffled({rename[k]: c for k, c in counts_a.items()}, seed)))
+        Q2 = normalize(dist(shuffled({rename[k]: c for k, c in counts_b.items()}, seed + 1)))
+        assert [divergence_of(measure, P2, Q2).value for measure in MEASURES] == values
+        _, renamed = jsd_with_contributions(P2, Q2)
+        assert renamed.partials == {rename[k]: v for k, v in breakdown.partials.items()}
+        assert [renamed.partials[k] for k in renamed.ranking] == [
+            breakdown.partials[k] for k in breakdown.ranking
+        ]
+        if rename is order_preserving:
+            assert renamed.ranking == [rename[k] for k in breakdown.ranking]
 
 
 counts = st.integers(min_value=1, max_value=1000)
