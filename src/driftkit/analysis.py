@@ -1,5 +1,9 @@
 """Drift analyses over binned distributions: series, matrices, contribution groups.
 
+A view's bin pairs are planned here only: ``_local_pairs`` (each bin with its
+predecessor; two or more bins, no gaps) and ``_global_pairs`` (the baseline
+with every other bin) feed both the drift series and ``contribution_pairs``.
+
 A plug-in view (local or global series, or the all-pairs matrix) interns its
 bins once per call over one item index (``divergence.BinRows``), which
 normalizes each bin once and caches its own term of the measure; every pair
@@ -8,9 +12,9 @@ pair from its two count tables.
 
 Contribution groups band the ranking that ``jsd_with_contributions`` builds
 (descending partial, then descending combined share p + q, then id) into
-ranks 1-100, 101-1K, 1K-10K, 10K-50K and the rest. The bands are defined
-here and nowhere else: ``DEFAULT_GROUP_BOUNDS``, ``N_GROUPS`` and
-``group_of_rank``.
+contiguous slices: ranks 1-100, 101-1K, 1K-10K, 10K-50K and the rest. The
+bands are defined here and nowhere else: ``DEFAULT_GROUP_BOUNDS``,
+``N_GROUPS``, ``_BAND_EDGES`` and ``group_of_rank``.
 
 Bins are found by ``events.find_bin`` and selectors rank by ``popularity.rank_items``.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
 
@@ -35,6 +40,8 @@ from .popularity import PopularityDistribution, normalize, rank_items, require_l
 
 DEFAULT_GROUP_BOUNDS = (100, 1000, 10000, 50000)
 N_GROUPS = len(DEFAULT_GROUP_BOUNDS) + 1
+# group g is the ranking slice [_BAND_EDGES[g - 1]:_BAND_EDGES[g]]
+_BAND_EDGES = (0, *DEFAULT_GROUP_BOUNDS, None)
 
 
 def group_of_rank(rank: int) -> int:
@@ -133,7 +140,10 @@ def _evaluate_pairs(
     return [_evaluate(dists, i, j, estimator, measure, rows) for i, j in pairs]
 
 
-def _check_consecutive(dists: list[PopularityDistribution]):
+def _local_pairs(dists: list[PopularityDistribution]) -> list[tuple[int, int]]:
+    """Each bin with its predecessor; a local view needs two or more bins and no gaps."""
+    if len(dists) < 2:
+        raise ValueError("local drift needs at least two bins")
     gaps = []
     for prev, cur in zip(dists, dists[1:]):
         gaps.extend(range(prev.bin.index + 1, cur.bin.index))
@@ -141,6 +151,13 @@ def _check_consecutive(dists: list[PopularityDistribution]):
         granularity = dists[0].bin.granularity
         missing = ", ".join(bin_from_index(i, granularity).label for i in gaps)
         raise ValueError(f"gaps in bin sequence; missing bins: {missing}")
+    return [(t - 1, t) for t in range(1, len(dists))]
+
+
+def _global_pairs(dists: list[PopularityDistribution], baseline) -> list[tuple[int, int]]:
+    """The baseline bin, found by ``find_bin``, with every other bin; baseline on the left."""
+    b = find_bin([d.bin for d in dists], baseline)
+    return [(b, t) for t in range(len(dists)) if t != b]
 
 
 def local_drift(
@@ -149,10 +166,7 @@ def local_drift(
     measure: Measure = Measure("jsd"),
 ) -> DriftSeries:
     """Drift between each bin and its predecessor."""
-    if len(dists) < 2:
-        raise ValueError("local drift needs at least two bins")
-    _check_consecutive(dists)
-    pairs = [(t - 1, t) for t in range(1, len(dists))]
+    pairs = _local_pairs(dists)
     values = _evaluate_pairs(dists, pairs, estimator, measure)
     points = [SeriesPoint(dists[t].bin, v, err) for (_, t), (v, err) in zip(pairs, values)]
     return DriftSeries("local", measure.label, points)
@@ -165,11 +179,10 @@ def global_drift(
     measure: Measure = Measure("jsd"),
 ) -> DriftSeries:
     """Drift between a fixed baseline bin and every other bin."""
-    b = find_bin([d.bin for d in dists], baseline)
-    base = dists[b].bin
-    pairs = [(b, t) for t, dist in enumerate(dists) if dist.bin != base]
+    pairs = _global_pairs(dists, baseline)
     values = _evaluate_pairs(dists, pairs, estimator, measure)
     points = [SeriesPoint(dists[t].bin, v, err) for (_, t), (v, err) in zip(pairs, values)]
+    base = dists[find_bin([d.bin for d in dists], baseline)].bin
     return DriftSeries("global", measure.label, points, baseline=base)
 
 
@@ -200,29 +213,32 @@ def contribution_groups(
     zero for identical distributions.
     """
     _, breakdown = jsd_with_contributions(normalize(A), normalize(B), A.total, B.total)
-    groups = {item: group_of_rank(r) for r, item in enumerate(breakdown.ranking, start=1)}
-    if breakdown.total_bits > 0.0:
-        per_group = [[] for _ in range(N_GROUPS)]
-        for item, g in groups.items():
-            per_group[g - 1].append(breakdown.partials[item])
-        shares = [math.fsum(vals) / breakdown.total_bits for vals in per_group]
-    else:
-        shares = [0.0] * N_GROUPS
+    groups, sums = {}, []
+    for g, (lo, hi) in enumerate(zip(_BAND_EDGES, _BAND_EDGES[1:]), start=1):
+        band = breakdown.ranking[lo:hi]
+        groups.update(dict.fromkeys(band, g))
+        sums.append(math.fsum(map(breakdown.partials.__getitem__, band)))
+    total = breakdown.total_bits
+    shares = [s / total for s in sums] if total > 0.0 else [0.0] * N_GROUPS
     return breakdown, groups, shares
 
 
-def build_group_schedule(
-    dists: list[PopularityDistribution],
-) -> list[tuple[str, dict[str, int]]]:
-    """Contribution-group assignment for every consecutive bin pair."""
-    if len(dists) < 2:
-        raise ValueError("group schedule needs at least two bins")
-    _check_consecutive(dists)
-    schedule = []
-    for prev, cur in zip(dists, dists[1:]):
-        _, groups, _ = contribution_groups(prev, cur)
-        schedule.append((cur.bin.label, groups))
-    return schedule
+def contribution_pairs(
+    dists: list[PopularityDistribution], baseline: TimeBin | date | str | None = None
+) -> Iterator[tuple[TimeBin, ContributionBreakdown, dict[str, int], list[float]]]:
+    """``(right bin, *contribution_groups)`` for each pair of one view, lazily.
+
+    The view is local without a ``baseline`` and global with one, and spans
+    the pairs of the drift series of that kind.
+    """
+    pairs = _local_pairs(dists) if baseline is None else _global_pairs(dists, baseline)
+    for i, j in pairs:
+        yield (dists[j].bin, *contribution_groups(dists[i], dists[j]))
+
+
+def build_group_schedule(dists: list[PopularityDistribution]) -> list[tuple[str, dict[str, int]]]:
+    """Contribution-group assignment for every local pair, keyed by its right bin."""
+    return [(right.label, groups) for right, _, groups, _ in contribution_pairs(dists)]
 
 
 def transition_matrix(schedule: list[tuple[str, dict[str, int]]]) -> np.ndarray:
@@ -238,21 +254,14 @@ def transition_matrix(schedule: list[tuple[str, dict[str, int]]]) -> np.ndarray:
     sums = np.zeros((N_GROUPS, N_GROUPS), dtype=np.float64)
     rows_seen = np.zeros(N_GROUPS, dtype=np.int64)
     for (_, prev), (_, nxt) in zip(schedule, schedule[1:]):
-        counts = np.zeros((N_GROUPS, N_GROUPS), dtype=np.float64)
-        for item, g in prev.items():
-            counts[g - 1, nxt.get(item, N_GROUPS) - 1] += 1
-        for g in range(N_GROUPS):
-            row_total = counts[g].sum()
-            if row_total > 0:
-                sums[g] += counts[g] / row_total
-                rows_seen[g] += 1
-    matrix = np.zeros((N_GROUPS, N_GROUPS), dtype=np.float64)
-    for g in range(N_GROUPS):
-        if rows_seen[g]:
-            matrix[g] = sums[g] / rows_seen[g]
-        else:
-            matrix[g, g] = 1.0
-    return matrix
+        moves = [(g - 1) * N_GROUPS + nxt.get(item, N_GROUPS) - 1 for item, g in prev.items()]
+        counts = np.bincount(moves, minlength=N_GROUPS**2).reshape(N_GROUPS, N_GROUPS)
+        row_totals = counts.sum(axis=1)
+        occupied = row_totals > 0
+        sums[occupied] += counts[occupied] / row_totals[occupied, None]
+        rows_seen += occupied
+    seen = rows_seen[:, None] > 0
+    return np.where(seen, sums / np.maximum(rows_seen, 1)[:, None], np.eye(N_GROUPS))
 
 
 # Trajectory panels ------------------------------------------------------------
@@ -303,15 +312,17 @@ def trajectory_panel(
 
     An item's peak bin is the earliest bin attaining its maximum count; rows
     with equal peak bins order by item id. If k exceeds the catalog, all
-    items are kept.
+    items are kept. ``TopGlobalContrib`` rejects an ``at`` bin that is its baseline.
     """
     if not dists:
         raise ValueError("trajectory panel needs at least one bin")
     bins = [d.bin for d in dists]
     if isinstance(selector, TopGlobalContrib):
-        base = dists[find_bin(bins, selector.baseline)] if selector.baseline else dists[0]
-        at = dists[find_bin(bins, selector.at)]
-        _, breakdown = jsd_with_contributions(normalize(base), normalize(at))
+        b = find_bin(bins, selector.baseline) if selector.baseline else 0
+        t = find_bin(bins, selector.at)
+        if t == b:
+            raise ValueError(f"bin {selector.at} is the baseline; contributions need another bin")
+        _, breakdown = jsd_with_contributions(normalize(dists[b]), normalize(dists[t]))
         selected = breakdown.ranking[: selector.k]
     else:
         if isinstance(selector, TopTotal):
@@ -329,19 +340,9 @@ def trajectory_panel(
         selected = rank_items(score, selector.k)
 
     counts = np.zeros((len(selected), len(bins)), dtype=np.int64)
-    col = {item: r for r, item in enumerate(selected)}
     for j, dist in enumerate(dists):
-        for item, c in dist.counts.items():
-            r = col.get(item)
-            if r is not None:
-                counts[r, j] = c
-    peak_idx = {item: int(np.argmax(counts[r])) for item, r in col.items()}
-
-    ordered = sorted(selected, key=lambda k: (peak_idx[k], k))
-    perm = [col[item] for item in ordered]
-    return TrajectoryPanel(
-        bins,
-        ordered,
-        [bins[peak_idx[item]] for item in ordered],
-        counts[perm],
-    )
+        counts[:, j] = [dist.counts.get(item, 0) for item in selected]
+    peaks = counts.argmax(axis=1)
+    order = sorted(range(len(selected)), key=lambda r: (peaks[r], selected[r]))
+    items = [selected[r] for r in order]
+    return TrajectoryPanel(bins, items, [bins[peaks[r]] for r in order], counts[order])

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import analysis, canon, forecast, synthmarket, tabular
 from .config import OPTIONS, ConfigError, RunConfig, build_config, load_config, parse_date
-from .events import IngestError, find_bin, ingest
+from .events import IngestError, ingest
 from .popularity import aggregate, restrict_top_k
 
 
@@ -179,19 +179,17 @@ def cmd_drift(args, cfg: RunConfig, dists):
 
 
 def cmd_contrib(args, cfg: RunConfig, dists):
-    if args.kind == "local":
-        pairs = list(zip(dists, dists[1:]))
-    else:
-        base = dists[find_bin([d.bin for d in dists], args.baseline or dists[0].bin.label)]
-        pairs = [(base, d) for d in dists if d.bin != base.bin]
+    baseline = (args.baseline or dists[0].bin.label) if args.kind == "global" else None
     rows, products = [], []
-    for left, right in pairs:
-        breakdown, groups, shares = analysis.contribution_groups(left, right)
-        rows.append((right.bin.label, shares))
-        if right.bin.label == args.dump_pair:
-            write = partial(tabular.write_contributions, breakdown=breakdown, groups=groups)
+    for right, breakdown, _, shares in analysis.contribution_pairs(dists, baseline):
+        rows.append((right.label, shares))
+        if right.label == args.dump_pair:
+            write = partial(tabular.write_contributions, breakdown=breakdown)
             products.append(((f"contributions_{args.dump_pair}.csv",), write))
     if args.dump_pair and not products:
+        if any(d.bin.label == args.dump_pair for d in dists):
+            role = "the baseline" if baseline else "the first bin"
+            raise DataError(f"pair bin {args.dump_pair} is {role}, which ends no {args.kind} pair")
         raise DataError(f"pair bin {args.dump_pair} not present in the data")
     products.append(
         ((f"group_shares_{args.kind}.csv",), lambda p: tabular.write_group_shares(p, rows))

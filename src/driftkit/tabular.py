@@ -11,7 +11,7 @@ import csv
 import json
 from pathlib import Path
 
-from .analysis import N_GROUPS, DriftMatrix, DriftSeries, TrajectoryPanel
+from .analysis import N_GROUPS, DriftMatrix, DriftSeries, TrajectoryPanel, group_of_rank
 from .canon import CanonicalCatalog
 from .divergence import ContributionBreakdown
 from .events import open_table, table_rows
@@ -59,12 +59,12 @@ def write_transitions(path: Path, matrix):
             writer.writerow([label] + [_fmt(v) for v in row])
 
 
-def write_contributions(path: Path, breakdown: ContributionBreakdown, groups: dict[str, int]):
+def write_contributions(path: Path, breakdown: ContributionBreakdown):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["canonical_id", "partial_bits", "rank", "group"])
         for rank, item in enumerate(breakdown.ranking, start=1):
-            writer.writerow([item, _fmt(breakdown.partials[item]), rank, groups[item]])
+            writer.writerow([item, _fmt(breakdown.partials[item]), rank, group_of_rank(rank)])
 
 
 def write_trajectories(path: Path, panel: TrajectoryPanel):

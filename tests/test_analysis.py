@@ -10,6 +10,7 @@ from driftkit.analysis import (
     TopTotal,
     build_group_schedule,
     contribution_groups,
+    contribution_pairs,
     drift_matrix,
     global_drift,
     group_of_rank,
@@ -185,6 +186,17 @@ class TestContributionGroups:
         assert partials["k"] == 0.0
         assert breakdown.ranking == ["b", "c", "k"]
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [([(1, {"a": 1})], "at least two bins"), ([(1, {"a": 1}), (3, {"a": 2})], "2022-02-01")],
+        ids=["one-bin", "gap"],
+    )
+    def test_local_pairs_need_the_local_drift_input(self, counts, message):
+        dists = months(counts)
+        for view in (local_drift, lambda d: list(contribution_pairs(d)), build_group_schedule):
+            with pytest.raises(ValueError, match=message):
+                view(dists)
+
     def test_group_bounds(self):
         assert group_of_rank(1) == 1
         assert group_of_rank(100) == 1
@@ -317,6 +329,13 @@ class TestTrajectories:
     def test_selector_rejects_k_below_one(self, build, k):
         with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
             build(k)
+
+    @pytest.mark.parametrize("baseline", [None, "2022-02-01"])
+    def test_top_global_contrib_at_the_baseline_raises(self, baseline):
+        dists = months([(1, {"a": 5}), (2, {"a": 1, "b": 4}), (3, {"b": 5})])
+        at = baseline or "2022-01-01"
+        with pytest.raises(ValueError, match=f"bin {at} is the baseline"):
+            trajectory_panel(dists, TopGlobalContrib(1, at=at, baseline=baseline))
 
     def test_selector_bins_found_by_label(self):
         dists = months([(1, {"a": 5}), (2, {"a": 1, "b": 4}), (3, {"b": 5})])

@@ -264,6 +264,48 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--exclude", "2022-03-01:2022-03-31"), "gaps in bin sequence; missing bins: 2022-03-01"),
+            (("--window-start", "2022-02-01", "--window-end", "2022-02-28"), "at least two bins"),
+        ],
+        ids=["gap", "one-bin"],
+    )
+    def test_local_contrib_follows_the_local_drift_rules(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        code = run("contrib", "--kind", "local", "--input", str(FIXTURE), "--output-dir", str(out), *argv)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, role", [("local", "the first bin"), ("global", "the baseline")], ids=["local", "global"]
+    )
+    def test_dump_pair_that_ends_no_pair_is_named_as_such(self, tmp_path, capsys, kind, role):
+        out = tmp_path / "out"
+        code = run(
+            "contrib", "--kind", kind, "--dump-pair", "2022-01-01",
+            "--input", str(FIXTURE), "--output-dir", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"pair bin 2022-01-01 is {role}, which ends no {kind} pair" in err
+        assert "not present" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("baseline", [(), ("--baseline", "2022-03-01")], ids=["default", "given"])
+    def test_trajectories_at_the_baseline_is_data_error(self, tmp_path, capsys, baseline):
+        at = baseline[1] if baseline else "2022-01-01"
+        out = tmp_path / "out"
+        code = run(
+            "trajectories", "--selector", "top_global_contrib", "--at", at, *baseline,
+            "--input", str(FIXTURE), "--output-dir", str(out),
+        )
+        assert code == 2
+        assert f"bin {at} is the baseline" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "option, value, applies",
         [
             ("alpha", "2", "measure jsd_alpha, not jsd"),

@@ -4,7 +4,8 @@ The dict API (exact fsum), the plug-in views' per-view rows (exact fsum) and
 the bootstrap's array call (np.sum) run the same kernels; these checks tie
 them together and pin the dict API's order independence. The contribution
 ranking is checked on the same random count tables, and so are the partial
-sum against the entropy form and invariance under renaming the items.
+sum against the entropy form, invariance under renaming the items and the
+continuity of alpha-JSD at alpha = 1.
 """
 
 import random
@@ -21,6 +22,8 @@ from driftkit.divergence import (
     _aligned,
     divergence_of,
     divergence_of_arrays,
+    jsd,
+    jsd_alpha_normalized,
     jsd_with_contributions,
 )
 from driftkit.popularity import PopularityDistribution, normalize
@@ -93,6 +96,25 @@ def test_one_ranking_rule(counts_a, counts_b, seed):
 def test_partial_sum_equals_the_entropy_form(counts_a, counts_b):
     value, breakdown = jsd_with_contributions(normalize(dist(counts_a)), normalize(dist(counts_b)))
     assert abs(breakdown.total_bits - value.value) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tables,
+    tables,
+    st.sampled_from([10.0**-e for e in range(2, 10)]),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_alpha_jsd_tends_to_jsd_at_one(counts_a, counts_b, eps, side):
+    """alpha-JSD at 1 +- eps is within 2 eps of the JSD, up to rounding dust.
+
+    The value's slope in alpha near 1 stayed below 0.5 on these tables; the
+    Tsallis sums' rounding error is divided by |1 - alpha|, so its allowance
+    scales with 1 / eps.
+    """
+    P, Q = normalize(dist(counts_a)), normalize(dist(counts_b))
+    near = jsd_alpha_normalized(P, Q, 1.0 + side * eps).value
+    assert abs(near - jsd(P, Q).value) <= 2.0 * eps + 1e-14 / eps
 
 
 new_names = st.lists(
