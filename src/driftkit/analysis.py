@@ -1,8 +1,9 @@
 """Drift analyses over binned distributions: series, matrices, contribution groups.
 
-A view's bin pairs are planned here only: ``_local_pairs`` (each bin with its
-predecessor; two or more bins, no gaps) and ``_global_pairs`` (the baseline
-with every other bin) feed both the drift series and ``contribution_pairs``.
+Every view is planned here only, and needs two or more bins (``_two_bins``).
+``_local_pairs`` pairs each bin with its predecessor (no gaps allowed) and
+``_global_pairs`` the baseline, by default the first bin, with every other
+bin; the series, ``contribution_pairs`` and ``TopGlobalContrib`` read them.
 
 A plug-in view (local or global series, or the all-pairs matrix) interns its
 bins once per call over one item index (``divergence.BinRows``), which
@@ -140,10 +141,14 @@ def _evaluate_pairs(
     return [_evaluate(dists, i, j, estimator, measure, rows) for i, j in pairs]
 
 
-def _local_pairs(dists: list[PopularityDistribution]) -> list[tuple[int, int]]:
-    """Each bin with its predecessor; a local view needs two or more bins and no gaps."""
+def _two_bins(dists: list[PopularityDistribution], view: str):
     if len(dists) < 2:
-        raise ValueError("local drift needs at least two bins")
+        raise ValueError(f"{view} drift needs at least two bins")
+
+
+def _local_pairs(dists: list[PopularityDistribution]) -> list[tuple[int, int]]:
+    """Each bin with its predecessor; a local view has no gaps."""
+    _two_bins(dists, "local")
     gaps = []
     for prev, cur in zip(dists, dists[1:]):
         gaps.extend(range(prev.bin.index + 1, cur.bin.index))
@@ -154,9 +159,10 @@ def _local_pairs(dists: list[PopularityDistribution]) -> list[tuple[int, int]]:
     return [(t - 1, t) for t in range(1, len(dists))]
 
 
-def _global_pairs(dists: list[PopularityDistribution], baseline) -> list[tuple[int, int]]:
-    """The baseline bin, found by ``find_bin``, with every other bin; baseline on the left."""
-    b = find_bin([d.bin for d in dists], baseline)
+def _global_pairs(dists: list[PopularityDistribution], baseline=None) -> list[tuple[int, int]]:
+    """The baseline bin (``find_bin``; the first bin if None) with every other, on the left."""
+    _two_bins(dists, "global")
+    b = 0 if baseline is None else find_bin([d.bin for d in dists], baseline)
     return [(b, t) for t in range(len(dists)) if t != b]
 
 
@@ -174,16 +180,15 @@ def local_drift(
 
 def global_drift(
     dists: list[PopularityDistribution],
-    baseline: TimeBin | date | str,
+    baseline: TimeBin | date | str | None = None,
     estimator: Estimator = Estimator(),
     measure: Measure = Measure("jsd"),
 ) -> DriftSeries:
-    """Drift between a fixed baseline bin and every other bin."""
+    """Drift between a fixed baseline bin (by default the first) and every other bin."""
     pairs = _global_pairs(dists, baseline)
     values = _evaluate_pairs(dists, pairs, estimator, measure)
     points = [SeriesPoint(dists[t].bin, v, err) for (_, t), (v, err) in zip(pairs, values)]
-    base = dists[find_bin([d.bin for d in dists], baseline)].bin
-    return DriftSeries("global", measure.label, points, baseline=base)
+    return DriftSeries("global", measure.label, points, baseline=dists[pairs[0][0]].bin)
 
 
 def drift_matrix(
@@ -192,9 +197,8 @@ def drift_matrix(
     measure: Measure = Measure("jsd"),
 ) -> DriftMatrix:
     """Symmetric drift between all bin pairs, each cell evaluated once."""
+    _two_bins(dists, "matrix")
     n = len(dists)
-    if n < 2:
-        raise ValueError("drift matrix needs at least two bins")
     values = np.zeros((n, n), dtype=np.float64)
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for (i, j), (v, _) in zip(cells, _evaluate_pairs(dists, cells, estimator, measure)):
@@ -212,7 +216,7 @@ def contribution_groups(
     JSD; they sum to one whenever the pair actually drifted, and are all
     zero for identical distributions.
     """
-    _, breakdown = jsd_with_contributions(normalize(A), normalize(B), A.total, B.total)
+    _, breakdown = jsd_with_contributions(normalize(A), normalize(B))
     groups, sums = {}, []
     for g, (lo, hi) in enumerate(zip(_BAND_EDGES, _BAND_EDGES[1:]), start=1):
         band = breakdown.ranking[lo:hi]
@@ -224,14 +228,18 @@ def contribution_groups(
 
 
 def contribution_pairs(
-    dists: list[PopularityDistribution], baseline: TimeBin | date | str | None = None
+    dists: list[PopularityDistribution],
+    kind: str = "local",
+    baseline: TimeBin | date | str | None = None,
 ) -> Iterator[tuple[TimeBin, ContributionBreakdown, dict[str, int], list[float]]]:
     """``(right bin, *contribution_groups)`` for each pair of one view, lazily.
 
-    The view is local without a ``baseline`` and global with one, and spans
-    the pairs of the drift series of that kind.
+    ``kind`` is "local" or "global" (``baseline`` as in ``global_drift``), and
+    the pairs are those of the drift series of that kind.
     """
-    pairs = _local_pairs(dists) if baseline is None else _global_pairs(dists, baseline)
+    if kind not in ("local", "global"):
+        raise ValueError(f"unknown view kind {kind!r}")
+    pairs = _local_pairs(dists) if kind == "local" else _global_pairs(dists, baseline)
     for i, j in pairs:
         yield (dists[j].bin, *contribution_groups(dists[i], dists[j]))
 
@@ -318,7 +326,7 @@ def trajectory_panel(
         raise ValueError("trajectory panel needs at least one bin")
     bins = [d.bin for d in dists]
     if isinstance(selector, TopGlobalContrib):
-        b = find_bin(bins, selector.baseline) if selector.baseline else 0
+        b = _global_pairs(dists, selector.baseline)[0][0]
         t = find_bin(bins, selector.at)
         if t == b:
             raise ValueError(f"bin {selector.at} is the baseline; contributions need another bin")

@@ -49,32 +49,33 @@ def _strip_digit_token(title_norm: str, token: str) -> str:
     return " ".join(words)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawItem:
-    """Normalized view of one catalog row."""
+    """Normalized view of one catalog row, its derived fields set once.
+
+    ``title_core`` is the title with the edition digit removed, the basis for
+    edit-distance checks; ``edition`` is the numeric edition, with a missing
+    digit reading as edition 1.
+    """
 
     item_key: str
     title_norm: str
     creator_norm: str
     digit_token: str | None
+    title_core: str
+    edition: int
 
-    @property
-    def title_core(self) -> str:
-        """Title with the edition digit removed, the basis for edit-distance checks."""
-        if self.digit_token is None:
-            return self.title_norm
-        return _strip_digit_token(self.title_norm, self.digit_token)
 
-    @property
-    def edition(self) -> int:
-        """Numeric edition, with a missing digit reading as edition 1."""
-        return int(self.digit_token) if self.digit_token is not None else 1
+def _raw_item(item_key: str, title_norm: str, creator_norm: str) -> RawItem:
+    token = digit_token(title_norm)
+    if token is None:
+        return RawItem(item_key, title_norm, creator_norm, None, title_norm, 1)
+    core = _strip_digit_token(title_norm, token)
+    return RawItem(item_key, title_norm, creator_norm, token, core, int(token))
 
 
 def normalize(item_key: str, title: str, creator: str) -> RawItem:
-    title_norm = normalize_text(title)
-    creator_norm = normalize_text(creator)
-    return RawItem(item_key, title_norm, creator_norm, digit_token(title_norm))
+    return _raw_item(item_key, normalize_text(title), normalize_text(creator))
 
 
 def edit_distance_at_most(a: str, b: str, limit: int) -> bool:
@@ -229,20 +230,17 @@ def canonicalize(
 ) -> CanonicalCatalog:
     """Full pipeline over (item_key, title, creator) rows.
 
-    Rows sharing an identical normalized signature collapse into one slot
-    before the windowed comparison, then pairing operates on the distinct,
-    sorted signatures.
+    Each row's text is normalized once, and rows sharing an identical
+    normalized signature collapse into one slot before the windowed
+    comparison; the edition fields are derived once per distinct signature,
+    and pairing operates on the distinct, sorted signatures.
     """
     by_signature: dict[tuple[str, str], list[str]] = {}
     for key, title, creator in rows:
-        item = normalize(key, title, creator)
-        by_signature.setdefault((item.title_norm, item.creator_norm), []).append(key)
+        by_signature.setdefault((normalize_text(title), normalize_text(creator)), []).append(key)
 
     signatures = sorted(by_signature)
-    distinct = [
-        RawItem(min(by_signature[sig]), sig[0], sig[1], digit_token(sig[0]))
-        for sig in signatures
-    ]
+    distinct = [_raw_item(min(by_signature[sig]), *sig) for sig in signatures]
     pair_keys = [(a.item_key, b.item_key) for a, b in candidate_pairs(distinct, window, max_edit)]
 
     all_keys: list[str] = []

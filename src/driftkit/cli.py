@@ -6,10 +6,12 @@ every analysis subcommand and a config-file key. `ingest-check` and the
 analysis subcommands read the log through one call (`_ingest`): a single
 pass from CSV rows to per-bin counts, with the window, exclusions, cohort
 and granularity applied per row. The analysis subcommands share one run
-frame (`_run`): build the config, load the distributions (ingest, then
+frame (`_run`): reject a view flag (`--baseline`, `--at`) that the chosen
+view never reads, build the config, load the distributions (ingest, then
 `aggregate` through the catalog), run the analysis, and only then create
 the output directory, write the products and the manifest, so a failed
-analysis leaves no output directory.
+analysis leaves no output directory. Views are planned in `analysis` alone
+(default baseline, two-bin minimum); the subcommands pass the flags through.
 The estimator's seed is the one root seed, so identical inputs and flags
 give byte-identical outputs.
 """
@@ -113,6 +115,24 @@ def _load_distributions(cfg: RunConfig):
     return dists, reports
 
 
+# flags that one view alone reads: subcommand -> (flags, the argument naming the view, that view)
+_VIEW_FLAGS = {
+    "drift": (("baseline",), "mode", "global"),
+    "contrib": (("baseline",), "kind", "global"),
+    "trajectories": (("at", "baseline"), "selector", "top_global_contrib"),
+}
+
+
+def _reject_unread_view_flags(args):
+    flags, name, view = _VIEW_FLAGS.get(args.subcommand, ((), None, None))
+    for flag in flags:
+        if getattr(args, flag) is not None and getattr(args, name) != view:
+            raise UsageError(
+                f"{args.subcommand} --{flag} applies only to {name} {view}, "
+                f"not {getattr(args, name)}"
+            )
+
+
 def _run(args) -> int:
     """The run frame of every analysis subcommand.
 
@@ -120,6 +140,7 @@ def _run(args) -> int:
     file names and a writer taking their paths, and the manifest's extra
     run entries. Nothing is written until the analysis has succeeded.
     """
+    _reject_unread_view_flags(args)
     cfg = _config_from_args(args)
     dists, reports = _load_distributions(cfg)
     products, extra = args.analyse(args, cfg, dists)
@@ -170,8 +191,7 @@ def cmd_drift(args, cfg: RunConfig, dists):
         if args.mode == "local":
             series = analysis.local_drift(dists, cfg.estimator, cfg.measure)
         else:
-            baseline = args.baseline or dists[0].bin.label
-            series = analysis.global_drift(dists, baseline, cfg.estimator, cfg.measure)
+            series = analysis.global_drift(dists, args.baseline, cfg.estimator, cfg.measure)
         products = [((f"drift_{args.mode}.csv",), lambda p: tabular.write_series(p, series))]
     if args.dump_distributions:
         products.append((("distributions.csv",), lambda p: tabular.write_distributions(p, dists)))
@@ -179,22 +199,21 @@ def cmd_drift(args, cfg: RunConfig, dists):
 
 
 def cmd_contrib(args, cfg: RunConfig, dists):
-    baseline = (args.baseline or dists[0].bin.label) if args.kind == "global" else None
     rows, products = [], []
-    for right, breakdown, _, shares in analysis.contribution_pairs(dists, baseline):
+    for right, breakdown, _, shares in analysis.contribution_pairs(dists, args.kind, args.baseline):
         rows.append((right.label, shares))
         if right.label == args.dump_pair:
             write = partial(tabular.write_contributions, breakdown=breakdown)
             products.append(((f"contributions_{args.dump_pair}.csv",), write))
     if args.dump_pair and not products:
         if any(d.bin.label == args.dump_pair for d in dists):
-            role = "the baseline" if baseline else "the first bin"
+            role = "the baseline" if args.kind == "global" else "the first bin"
             raise DataError(f"pair bin {args.dump_pair} is {role}, which ends no {args.kind} pair")
         raise DataError(f"pair bin {args.dump_pair} not present in the data")
     products.append(
         ((f"group_shares_{args.kind}.csv",), lambda p: tabular.write_group_shares(p, rows))
     )
-    return products, {"kind": args.kind}
+    return products, {"kind": args.kind, "baseline": args.baseline}
 
 
 def cmd_transitions(args, cfg: RunConfig, dists):
@@ -213,36 +232,29 @@ def cmd_trajectories(args, cfg: RunConfig, dists):
         selector = analysis.TopGlobalContrib(args.k, args.at, args.baseline)
     panel = analysis.trajectory_panel(dists, selector)
     products = [(("trajectories.csv",), lambda p: tabular.write_trajectories(p, panel))]
-    return products, {"selector": args.selector, "k": args.k, "at": args.at}
+    extra = {"selector": args.selector, "k": args.k, "at": args.at, "baseline": args.baseline}
+    return products, extra
 
 
 def cmd_predict(args, cfg: RunConfig, dists):
     source_year, target_year = args.source_year, args.target_year
+
+    def of_year(entries, year):  # series points or distributions, by their bins
+        return [e for e in entries if e.bin.start.year == year]
+
     if args.kind == "local":
         series = analysis.local_drift(dists, cfg.estimator, cfg.measure)
-        source = analysis.DriftSeries(
-            "local",
-            series.measure,
-            [p for p in series.points if p.bin.start.year == source_year],
-        )
-        observed = analysis.DriftSeries(
-            "local",
-            series.measure,
-            [p for p in series.points if p.bin.start.year == target_year],
+        source, observed = (
+            analysis.DriftSeries("local", series.measure, of_year(series.points, year))
+            for year in (source_year, target_year)
         )
         baselines = ()
     else:
-        src_dists = [d for d in dists if d.bin.start.year == source_year]
-        tgt_dists = [d for d in dists if d.bin.start.year == target_year]
-        if len(src_dists) < 2 or len(tgt_dists) < 2:
-            raise DataError("global prediction needs at least two bins in each year")
-        source = analysis.global_drift(
-            src_dists, src_dists[0].bin.label, cfg.estimator, cfg.measure
+        source, observed = (
+            analysis.global_drift(of_year(dists, year), None, cfg.estimator, cfg.measure)
+            for year in (source_year, target_year)
         )
-        observed = analysis.global_drift(
-            tgt_dists, tgt_dists[0].bin.label, cfg.estimator, cfg.measure
-        )
-        baselines = (src_dists[0].bin.label, tgt_dists[0].bin.label)
+        baselines = (source.baseline.label, observed.baseline.label)
     if not source.points:
         raise DataError(f"no drift values available for source year {source_year}")
     if not observed.points:

@@ -84,12 +84,10 @@ class Measure:
 
 @dataclass(frozen=True)
 class DriftValue:
-    """One divergence value with its measure tag and the input loan totals."""
+    """One divergence value with its measure tag."""
 
     value: float
     measure: str = JSD_BITS
-    n_left: int | None = None
-    n_right: int | None = None
 
 
 @dataclass(frozen=True)
@@ -138,9 +136,9 @@ def shannon_entropy(dist: Mapping[str, float]) -> float:
     return _entropy_bits(p, _fsum)
 
 
-def jsd(P, Q, n_left: int | None = None, n_right: int | None = None) -> DriftValue:
+def jsd(P, Q) -> DriftValue:
     """Jensen-Shannon divergence in bits, via the entropy form over the union support."""
-    return divergence_of(Measure("jsd"), P, Q, n_left, n_right)
+    return divergence_of(Measure("jsd"), P, Q)
 
 
 def _partial_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -153,9 +151,7 @@ def _partial_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum(0.5 * (tp + tq), 0.0)
 
 
-def jsd_with_contributions(
-    P, Q, n_left: int | None = None, n_right: int | None = None
-) -> tuple[DriftValue, ContributionBreakdown]:
+def jsd_with_contributions(P, Q) -> tuple[DriftValue, ContributionBreakdown]:
     """JSD plus each item's additive share of it.
 
     The returned DriftValue is the entropy-form JSD; the breakdown's
@@ -190,7 +186,7 @@ def jsd_with_contributions(
         dict(zip(ids, values)), math.fsum(values), names[order].tolist()
     )
     value = _measure_value(Measure("jsd"), p, q, _fsum)
-    return DriftValue(value, JSD_BITS, n_left, n_right), breakdown
+    return DriftValue(value, JSD_BITS), breakdown
 
 
 def _tsallis_from_array(p: np.ndarray, alpha: float, total) -> float:
@@ -211,9 +207,7 @@ def tsallis_entropy(dist: Mapping[str, float], alpha: float) -> float:
     return _tsallis_from_array(p, alpha, _fsum)
 
 
-def jsd_alpha_normalized(
-    P, Q, alpha: float, n_left: int | None = None, n_right: int | None = None
-) -> DriftValue:
+def jsd_alpha_normalized(P, Q, alpha: float) -> DriftValue:
     """Generalized JSD of order alpha divided by its analytic maximum, in [0, 1].
 
     alpha > 1 emphasizes changes among popular items, alpha < 1 among rare
@@ -222,14 +216,12 @@ def jsd_alpha_normalized(
     one minus the Dice overlap of the supports. An alpha outside [0, 2]
     warns, because the square root of the result is not a metric there.
     """
-    return divergence_of(Measure("jsd_alpha", alpha), P, Q, n_left, n_right)
+    return divergence_of(Measure("jsd_alpha", alpha), P, Q)
 
 
-def jaccard_distance(
-    P, Q, n_left: int | None = None, n_right: int | None = None
-) -> DriftValue:
+def jaccard_distance(P, Q) -> DriftValue:
     """One minus the Jaccard overlap of the two supports; blind to popularity."""
-    return divergence_of(Measure("jaccard"), P, Q, n_left, n_right)
+    return divergence_of(Measure("jaccard"), P, Q)
 
 
 def _form(measure: Measure) -> str:
@@ -292,10 +284,10 @@ def _measure_value(measure: Measure, p: np.ndarray, q: np.ndarray, total) -> flo
     )
 
 
-def divergence_of(measure: Measure, P, Q, n_left=None, n_right=None) -> DriftValue:
+def divergence_of(measure: Measure, P, Q) -> DriftValue:
     """``measure`` between two sparse distributions, over their union support."""
     _, p, q = _aligned(P, Q)
-    return DriftValue(_measure_value(measure, p, q, _fsum), measure.label, n_left, n_right)
+    return DriftValue(_measure_value(measure, p, q, _fsum), measure.label)
 
 
 def divergence_of_arrays(

@@ -55,7 +55,7 @@ def plugin_divergence(
     A: PopularityDistribution, B: PopularityDistribution, measure: Measure = Measure("jsd")
 ) -> DriftValue:
     """Plug-in ``measure`` between two bins; a bin without loans raises (`normalize`)."""
-    return divergence_of(measure, normalize(A), normalize(B), A.total, B.total)
+    return divergence_of(measure, normalize(A), normalize(B))
 
 
 def plugin_jsd(A: PopularityDistribution, B: PopularityDistribution) -> DriftValue:

@@ -1,7 +1,8 @@
 """Delimited-text and JSON output for every analysis product; catalog and items-table input.
 
 Floats are written with repr (shortest round-trip form) and manifests carry
-no timestamps, so identical runs produce byte-identical files. Input tables
+no timestamps, so identical runs produce byte-identical files. Every CSV
+product goes through one writer, `_write_csv`. Input tables
 are read like logs, through `events.open_table` and `events.table_rows`.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from typing import Iterable
 
 from .analysis import N_GROUPS, DriftMatrix, DriftSeries, TrajectoryPanel, group_of_rank
 from .canon import CanonicalCatalog
@@ -21,76 +23,57 @@ from .popularity import PopularityDistribution, rank_items
 GROUP_LABELS = [f"g{g}" for g in range(1, N_GROUPS + 1)]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x: float | None) -> str:
+    return "" if x is None else repr(float(x))
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_series(path: Path, series: DriftSeries):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start", "value", "std_error"])
-        for p in series.points:
-            writer.writerow(
-                [p.bin.label, _fmt(p.value), _fmt(p.std_error) if p.std_error is not None else ""]
-            )
+    rows = ([p.bin.label, _fmt(p.value), _fmt(p.std_error)] for p in series.points)
+    _write_csv(path, ["bin_start", "value", "std_error"], rows)
 
 
 def write_matrix(path: Path, matrix: DriftMatrix):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start"] + [b.label for b in matrix.bins])
-        for b, row in zip(matrix.bins, matrix.values):
-            writer.writerow([b.label] + [_fmt(v) for v in row])
+    rows = ([b.label] + [_fmt(v) for v in row] for b, row in zip(matrix.bins, matrix.values))
+    _write_csv(path, ["bin_start"] + [b.label for b in matrix.bins], rows)
 
 
 def write_group_shares(path: Path, rows: list[tuple[str, list[float]]]):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start"] + GROUP_LABELS)
-        for label, shares in rows:
-            writer.writerow([label] + [_fmt(s) for s in shares])
+    lines = ([label] + [_fmt(s) for s in shares] for label, shares in rows)
+    _write_csv(path, ["bin_start"] + GROUP_LABELS, lines)
 
 
 def write_transitions(path: Path, matrix):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group"] + GROUP_LABELS)
-        for label, row in zip(GROUP_LABELS, matrix):
-            writer.writerow([label] + [_fmt(v) for v in row])
+    rows = ([label] + [_fmt(v) for v in row] for label, row in zip(GROUP_LABELS, matrix))
+    _write_csv(path, ["group"] + GROUP_LABELS, rows)
 
 
 def write_contributions(path: Path, breakdown: ContributionBreakdown):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["canonical_id", "partial_bits", "rank", "group"])
-        for rank, item in enumerate(breakdown.ranking, start=1):
-            writer.writerow([item, _fmt(breakdown.partials[item]), rank, group_of_rank(rank)])
+    ranked = enumerate(breakdown.ranking, start=1)
+    rows = ([i, _fmt(breakdown.partials[i]), r, group_of_rank(r)] for r, i in ranked)
+    _write_csv(path, ["canonical_id", "partial_bits", "rank", "group"], rows)
 
 
 def write_trajectories(path: Path, panel: TrajectoryPanel):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["canonical_id", "peak_bin"] + [b.label for b in panel.bins])
-        for item, peak, row in zip(panel.items, panel.peak_bins, panel.counts):
-            writer.writerow([item, peak.label] + [int(c) for c in row])
+    lines = zip(panel.items, panel.peak_bins, panel.counts)
+    rows = ([item, peak.label] + [int(c) for c in row] for item, peak, row in lines)
+    _write_csv(path, ["canonical_id", "peak_bin"] + [b.label for b in panel.bins], rows)
 
 
 def write_distributions(path: Path, dists: list[PopularityDistribution]):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start", "canonical_id", "count"])
-        for dist in dists:
-            label = dist.bin.label
-            for item in rank_items(dist.counts):
-                writer.writerow([label, item, dist.counts[item]])
+    labelled = ((d.bin.label, d.counts) for d in dists)
+    rows = ([label, i, counts[i]] for label, counts in labelled for i in rank_items(counts))
+    _write_csv(path, ["bin_start", "canonical_id", "count"], rows)
 
 
 def write_mapping(path: Path, mapping: dict[str, str]):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_key", "canonical_id"])
-        for key in sorted(mapping):
-            writer.writerow([key, mapping[key]])
+    _write_csv(path, ["item_key", "canonical_id"], ([k, mapping[k]] for k in sorted(mapping)))
 
 
 def read_mapping(path: Path) -> CanonicalCatalog:
@@ -121,13 +104,9 @@ def read_items_table(path: Path) -> list[tuple[str, str, str]]:
 
 
 def write_forecast(csv_path: Path, json_path: Path, report: ForecastReport):
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start", "predicted", "observed", "abs_error"])
-        for e in report.entries:
-            writer.writerow(
-                [e.bin.label, _fmt(e.predicted), _fmt(e.observed), _fmt(e.abs_error)]
-            )
+    entries = report.entries
+    rows = ([e.bin.label, _fmt(e.predicted), _fmt(e.observed), _fmt(e.abs_error)] for e in entries)
+    _write_csv(csv_path, ["bin_start", "predicted", "observed", "abs_error"], rows)
     summary = {
         "kind": report.kind,
         "measure": report.measure,

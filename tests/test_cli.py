@@ -279,6 +279,38 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv", [("drift", "global"), ("contrib", "--kind", "global")], ids=["drift", "contrib"]
+    )
+    def test_global_view_over_one_bin_is_data_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = run(
+            *argv, "--input", str(FIXTURE), "--output-dir", str(out),
+            "--window-start", "2022-02-01", "--window-end", "2022-02-28",
+        )
+        assert code == 2
+        assert "global drift needs at least two bins" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("drift", "local", "--baseline", "2022-03-01"), "--baseline"),
+            (("drift", "matrix", "--baseline", "2022-03-01"), "--baseline"),
+            (("contrib", "--kind", "local", "--baseline", "2022-03-01"), "--baseline"),
+            (("trajectories", "--selector", "top_total", "--at", "2022-03-01"), "--at"),
+            (("trajectories", "--selector", "top_peak", "--baseline", "2022-03-01"), "--baseline"),
+        ],
+        ids=["drift-local", "drift-matrix", "contrib-local", "top-total-at", "top-peak-baseline"],
+    )
+    def test_view_flag_the_run_never_reads_is_usage_error(self, tmp_path, capsys, argv, flag):
+        # the log does not exist: the flag is rejected before it is read
+        out = tmp_path / "out"
+        code = run(*argv, "--input", str(tmp_path / "absent.csv"), "--output-dir", str(out))
+        assert code == 1
+        assert f"{argv[0]} {flag} applies only to " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "kind, role", [("local", "the first bin"), ("global", "the baseline")], ids=["local", "global"]
     )
     def test_dump_pair_that_ends_no_pair_is_named_as_such(self, tmp_path, capsys, kind, role):
@@ -595,6 +627,23 @@ class TestAnalysisCommands:
         assert code == 0
         summary = json.loads((tmp_path / "forecast_global.json").read_text())
         assert summary["baselines"] == ["2022-01-01", "2023-01-01"]
+
+    @pytest.mark.parametrize(
+        "argv, baseline",
+        [
+            (("contrib", "--kind", "global", "--baseline", "2022-03-01"), "2022-03-01"),
+            (("contrib", "--kind", "global"), None),
+            (("trajectories", "--selector", "top_global_contrib", "--at", "2022-04-01",
+              "--baseline", "2022-02-01"), "2022-02-01"),
+            (("trajectories", "--selector", "top_total"), None),
+        ],
+        ids=["contrib-given", "contrib-default", "trajectories-given", "trajectories-none"],
+    )
+    def test_manifest_records_the_baseline(self, tmp_path, argv, baseline):
+        out = tmp_path / "out"
+        assert run(*argv, "--input", str(FIXTURE), "--output-dir", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["run"]["baseline"] == baseline
 
 
 class TestSynthCommand:

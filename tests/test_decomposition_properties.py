@@ -84,11 +84,11 @@ def test_contribution_pairs_follow_the_view_and_the_bands(dists, data):
     n = len(dists)
     b = data.draw(st.integers(min_value=0, max_value=n - 1), label="baseline")
     views = [
-        (None, [(t - 1, t) for t in range(1, n)]),
-        (dists[b].bin.label, [(b, t) for t in range(n) if t != b]),
+        ("local", None, [(t - 1, t) for t in range(1, n)]),
+        ("global", dists[b].bin.label, [(b, t) for t in range(n) if t != b]),
     ]
-    for baseline, pairs in views:
-        got = list(contribution_pairs(dists, baseline))
+    for kind, baseline, pairs in views:
+        got = list(contribution_pairs(dists, kind, baseline))
         assert got == [(dists[j].bin, *contribution_groups(dists[i], dists[j])) for i, j in pairs]
         for _, breakdown, groups, shares in got:
             assert groups == reference_groups(breakdown.ranking)

@@ -5,7 +5,8 @@ the bootstrap's array call (np.sum) run the same kernels; these checks tie
 them together and pin the dict API's order independence. The contribution
 ranking is checked on the same random count tables, and so are the partial
 sum against the entropy form, invariance under renaming the items and the
-continuity of alpha-JSD at alpha = 1.
+continuity of alpha-JSD at alpha = 1. Every view is planned once: the global
+baseline defaults to the first bin, and every view refuses a single bin.
 """
 
 import random
@@ -16,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftkit.analysis import drift_matrix, global_drift, local_drift
+from driftkit.analysis import (
+    TopGlobalContrib,
+    contribution_pairs,
+    drift_matrix,
+    global_drift,
+    local_drift,
+    trajectory_panel,
+)
 from driftkit.divergence import (
     Measure,
     _aligned,
@@ -212,4 +220,25 @@ def test_empty_bin_raises_as_the_pair_loop_did(dists, data):
     for view, pairs in views:
         expected = _pair_loop_error(dists, pairs)
         with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            view()
+
+
+@settings(max_examples=60, deadline=None)
+@given(bin_tables())
+def test_views_default_to_the_first_bin_and_need_two_bins(dists):
+    default, first = global_drift(dists), global_drift(dists, dists[0].bin.label)
+    assert default == first and default.baseline == dists[0].bin
+    assert [p.value.hex() for p in default.points] == [p.value.hex() for p in first.points]
+
+    one = dists[:1]
+    views = [
+        lambda: local_drift(one),
+        lambda: global_drift(one),
+        lambda: drift_matrix(one),
+        lambda: list(contribution_pairs(one, "local")),
+        lambda: list(contribution_pairs(one, "global")),
+        lambda: trajectory_panel(one, TopGlobalContrib(1, at=one[0].bin.label)),
+    ]
+    for view in views:
+        with pytest.raises(ValueError, match="at least two bins"):
             view()
