@@ -5,11 +5,16 @@ Every view is planned here only, and needs two or more bins (``_two_bins``).
 ``_global_pairs`` the baseline, by default the first bin, with every other
 bin; the series, ``contribution_pairs`` and ``TopGlobalContrib`` read them.
 
-A plug-in view (local or global series, or the all-pairs matrix) interns its
-bins once per call over one item index (``divergence.BinRows``), which
-normalizes each bin once and caches its own term of the measure; every pair
-then computes only its union term. Bootstrap views estimate each
-pair from its two count tables.
+Every all-items view reads its bins as rows of one count panel
+(``popularity.panel_of``): the producers' shared panel, so no view interns
+the items again. A plug-in view (local or global series, or the all-pairs
+matrix) reads the rows through ``divergence.BinRows``, which caches each
+bin's shares and its own term of the measure; every pair then computes only
+its union term. Bootstrap views estimate each pair from its two count
+tables. The decomposition, ``transition_matrix``'s schedule and the
+trajectory selectors gather the same rows: contributions come from
+``jsd_with_contributions`` on two panel rows, with no ``normalize``, and
+totals and peaks are bincounts over the rows.
 
 Contribution groups band the ranking that ``jsd_with_contributions`` builds
 (descending partial, then descending combined share p + q, then id) into
@@ -17,14 +22,14 @@ contiguous slices: ranks 1-100, 101-1K, 1K-10K, 10K-50K and the rest. The
 bands are defined here and nowhere else: ``DEFAULT_GROUP_BOUNDS``,
 ``N_GROUPS``, ``_BAND_EDGES`` and ``group_of_rank``.
 
-Bins are found by ``events.find_bin`` and selectors rank by ``popularity.rank_items``.
+Bins are found by ``events.find_bin``; selectors rank by ``CountPanel.rank``, the
+panel form of ``popularity.rank_items``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
@@ -32,12 +37,19 @@ from datetime import date
 import numpy as np
 
 from .divergence import BinRows, ContributionBreakdown, Measure, jsd_with_contributions
-# not called here since the plug-in views read BinRows; kept importable as
-# analysis.divergence_of, where bench/tracing.py hooks the dict API
-from .divergence import divergence_of
+# not called here since every view reads panel rows; kept importable as
+# analysis.divergence_of and analysis.normalize, where bench/tracing.py
+# hooks the dict API
+from .divergence import divergence_of  # noqa: F401
 from .estimators import Estimator, bootstrap_divergence
 from .events import TimeBin, bin_from_index, find_bin
-from .popularity import PopularityDistribution, normalize, rank_items, require_loans
+from .popularity import (  # noqa: F401
+    CountPanel,
+    PopularityDistribution,
+    normalize,
+    panel_of,
+    require_loans,
+)
 
 DEFAULT_GROUP_BOUNDS = (100, 1000, 10000, 50000)
 N_GROUPS = len(DEFAULT_GROUP_BOUNDS) + 1
@@ -88,19 +100,19 @@ def _earlier_first(dists: list[PopularityDistribution], i: int, j: int) -> tuple
 def _plugin_rows(
     dists: list[PopularityDistribution], pairs: list[tuple[int, int]], measure: Measure
 ) -> BinRows:
-    """The view's bins interned once as rows, keyed by position.
+    """The view's bins as panel rows, keyed by position.
 
     Bins are checked in the order the pairs first reach them, earlier bin
     first within a pair, so the empty bin reported is the one a pair-by-pair
     loop would meet first.
     """
-    tables = {}
+    checked = set()
     for i, j in pairs:
         for k in _earlier_first(dists, i, j):
-            if k not in tables:
+            if k not in checked:
                 require_loans(dists[k])
-                tables[k] = dists[k]
-    return BinRows(measure, tables)
+                checked.add(k)
+    return BinRows(measure, dict(enumerate(dists)))
 
 
 def _evaluate(
@@ -136,7 +148,7 @@ def _evaluate_pairs(
     estimator: Estimator,
     measure: Measure,
 ) -> list[tuple[float, float | None]]:
-    """Every pair of one view; a plug-in view interns its bins once for all of them."""
+    """Every pair of one view; a plug-in view reads its bins' rows once for all of them."""
     rows = _plugin_rows(dists, pairs, measure) if estimator.kind == "plugin" else None
     return [_evaluate(dists, i, j, estimator, measure, rows) for i, j in pairs]
 
@@ -206,6 +218,23 @@ def drift_matrix(
     return DriftMatrix([d.bin for d in dists], values)
 
 
+def _contributions(
+    dists: list[PopularityDistribution], panel: CountPanel, i: int, j: int
+) -> tuple[ContributionBreakdown, dict[str, int], list[float]]:
+    """``contribution_groups`` of bins i and j, read from their panel rows."""
+    require_loans(dists[i])
+    require_loans(dists[j])
+    _, breakdown = jsd_with_contributions(panel.shares(i), panel.shares(j))
+    groups, sums = {}, []
+    for g, (lo, hi) in enumerate(zip(_BAND_EDGES, _BAND_EDGES[1:]), start=1):
+        band = breakdown.ranking[lo:hi]
+        groups.update(dict.fromkeys(band, g))
+        sums.append(math.fsum(map(breakdown.partials.__getitem__, band)))
+    total = breakdown.total_bits
+    shares = [s / total for s in sums] if total > 0.0 else [0.0] * N_GROUPS
+    return breakdown, groups, shares
+
+
 def contribution_groups(
     A: PopularityDistribution, B: PopularityDistribution
 ) -> tuple[ContributionBreakdown, dict[str, int], list[float]]:
@@ -216,15 +245,7 @@ def contribution_groups(
     JSD; they sum to one whenever the pair actually drifted, and are all
     zero for identical distributions.
     """
-    _, breakdown = jsd_with_contributions(normalize(A), normalize(B))
-    groups, sums = {}, []
-    for g, (lo, hi) in enumerate(zip(_BAND_EDGES, _BAND_EDGES[1:]), start=1):
-        band = breakdown.ranking[lo:hi]
-        groups.update(dict.fromkeys(band, g))
-        sums.append(math.fsum(map(breakdown.partials.__getitem__, band)))
-    total = breakdown.total_bits
-    shares = [s / total for s in sums] if total > 0.0 else [0.0] * N_GROUPS
-    return breakdown, groups, shares
+    return _contributions([A, B], panel_of([A, B]), 0, 1)
 
 
 def contribution_pairs(
@@ -240,8 +261,9 @@ def contribution_pairs(
     if kind not in ("local", "global"):
         raise ValueError(f"unknown view kind {kind!r}")
     pairs = _local_pairs(dists) if kind == "local" else _global_pairs(dists, baseline)
+    panel = panel_of(dists)
     for i, j in pairs:
-        yield (dists[j].bin, *contribution_groups(dists[i], dists[j]))
+        yield (dists[j].bin, *_contributions(dists, panel, i, j))
 
 
 def build_group_schedule(dists: list[PopularityDistribution]) -> list[tuple[str, dict[str, int]]]:
@@ -325,32 +347,37 @@ def trajectory_panel(
     if not dists:
         raise ValueError("trajectory panel needs at least one bin")
     bins = [d.bin for d in dists]
+    panel = panel_of(dists)
     if isinstance(selector, TopGlobalContrib):
         b = _global_pairs(dists, selector.baseline)[0][0]
         t = find_bin(bins, selector.at)
         if t == b:
             raise ValueError(f"bin {selector.at} is the baseline; contributions need another bin")
-        _, breakdown = jsd_with_contributions(normalize(dists[b]), normalize(dists[t]))
-        selected = breakdown.ranking[: selector.k]
+        require_loans(dists[b])
+        require_loans(dists[t])
+        _, breakdown = jsd_with_contributions(panel.shares(b), panel.shares(t))
+        position = dict(zip(panel.ids.tolist(), range(panel.n_items)))
+        selected = np.array([position[i] for i in breakdown.ranking[: selector.k]], dtype=np.intp)
+    elif isinstance(selector, TopTotal):
+        positions, loans = panel.all_index, panel.all_counts
+        present = np.bincount(positions, minlength=panel.n_items) > 0
+        totals = np.bincount(positions, weights=loans, minlength=panel.n_items)
+        selected = panel.rank(totals, present, selector.k)
+    elif isinstance(selector, TopPeak):
+        positions, loans = panel.all_index, panel.all_counts
+        peaks = np.zeros(panel.n_items, dtype=loans.dtype)
+        np.maximum.at(peaks, positions, loans)
+        selected = panel.rank(peaks, peaks > 0, selector.k)
     else:
-        if isinstance(selector, TopTotal):
-            score = Counter()
-            for dist in dists:
-                score.update(dist.counts)
-        elif isinstance(selector, TopPeak):
-            score = {}
-            for dist in dists:
-                for item, c in dist.counts.items():
-                    if c > score.get(item, 0):
-                        score[item] = c
-        else:
-            raise TypeError(f"unknown selector {selector!r}")
-        selected = rank_items(score, selector.k)
+        raise TypeError(f"unknown selector {selector!r}")
 
     counts = np.zeros((len(selected), len(bins)), dtype=np.int64)
-    for j, dist in enumerate(dists):
-        counts[:, j] = [dist.counts.get(item, 0) for item in selected]
-    peaks = counts.argmax(axis=1)
-    order = sorted(range(len(selected)), key=lambda r: (peaks[r], selected[r]))
-    items = [selected[r] for r in order]
-    return TrajectoryPanel(bins, items, [bins[peaks[r]] for r in order], counts[order])
+    spread = np.zeros(panel.n_items, dtype=np.int64)
+    for j, (index, c) in enumerate(zip(panel.index, panel.counts)):
+        spread[index] = c
+        counts[:, j] = spread[selected]
+        spread[index] = 0
+    peak = counts.argmax(axis=1)
+    order = np.lexsort((panel.id_rank[selected], peak))
+    items = panel.ids[selected[order]].tolist()
+    return TrajectoryPanel(bins, items, [bins[p] for p in peak[order].tolist()], counts[order])

@@ -6,8 +6,9 @@ every analysis subcommand and a config-file key. `ingest-check` and the
 analysis subcommands read the log through one call (`_ingest`): a single
 pass from CSV rows to per-bin counts, with the window, exclusions, cohort
 and granularity applied per row. The analysis subcommands share one run
-frame (`_run`): reject a view flag (`--baseline`, `--at`) that the chosen
-view never reads, build the config, load the distributions (ingest, then
+frame (`_run`): check the view flags (`--baseline`, `--at`; an empty one
+is unset, and the chosen view must read each one given and get each one
+it requires), build the config, load the distributions (ingest, then
 `aggregate` through the catalog), run the analysis, and only then create
 the output directory, write the products and the manifest, so a failed
 analysis leaves no output directory. Views are planned in `analysis` alone
@@ -115,22 +116,30 @@ def _load_distributions(cfg: RunConfig):
     return dists, reports
 
 
-# flags that one view alone reads: subcommand -> (flags, the argument naming the view, that view)
+# flags that one view alone reads: subcommand ->
+# (flags, the flags that view requires, the argument naming the view, that view)
 _VIEW_FLAGS = {
-    "drift": (("baseline",), "mode", "global"),
-    "contrib": (("baseline",), "kind", "global"),
-    "trajectories": (("at", "baseline"), "selector", "top_global_contrib"),
+    "drift": (("baseline",), (), "mode", "global"),
+    "contrib": (("baseline",), (), "kind", "global"),
+    "trajectories": (("at", "baseline"), ("at",), "selector", "top_global_contrib"),
 }
 
 
 def _reject_unread_view_flags(args):
-    flags, name, view = _VIEW_FLAGS.get(args.subcommand, ((), None, None))
+    """Check the view flags before the log is read; an empty one means unset."""
+    if args.subcommand not in _VIEW_FLAGS:
+        return
+    flags, required, name, view = _VIEW_FLAGS[args.subcommand]
+    chosen = getattr(args, name)
     for flag in flags:
-        if getattr(args, flag) is not None and getattr(args, name) != view:
+        if getattr(args, flag) == "":
+            setattr(args, flag, None)
+        if getattr(args, flag) is not None and chosen != view:
             raise UsageError(
-                f"{args.subcommand} --{flag} applies only to {name} {view}, "
-                f"not {getattr(args, name)}"
+                f"{args.subcommand} --{flag} applies only to {name} {view}, not {chosen}"
             )
+        if getattr(args, flag) is None and chosen == view and flag in required:
+            raise UsageError(f"--{flag} BIN is required for {name} {view}")
 
 
 def _run(args) -> int:
@@ -227,8 +236,6 @@ def cmd_trajectories(args, cfg: RunConfig, dists):
     elif args.selector == "top_peak":
         selector = analysis.TopPeak(args.k)
     else:
-        if not args.at:
-            raise UsageError("--at BIN is required for top_global_contrib")
         selector = analysis.TopGlobalContrib(args.k, args.at, args.baseline)
     panel = analysis.trajectory_panel(dists, selector)
     products = [(("trajectories.csv",), lambda p: tabular.write_trajectories(p, panel))]
@@ -250,10 +257,14 @@ def cmd_predict(args, cfg: RunConfig, dists):
         )
         baselines = ()
     else:
-        source, observed = (
-            analysis.global_drift(of_year(dists, year), None, cfg.estimator, cfg.measure)
-            for year in (source_year, target_year)
-        )
+
+        def global_of_year(year):
+            try:
+                return analysis.global_drift(of_year(dists, year), None, cfg.estimator, cfg.measure)
+            except ValueError as exc:
+                raise DataError(f"year {year}: {exc}") from exc
+
+        source, observed = map(global_of_year, (source_year, target_year))
         baselines = (source.baseline.label, observed.baseline.label)
     if not source.points:
         raise DataError(f"no drift values available for source year {source_year}")

@@ -21,18 +21,23 @@ Callers differ only in how they align the vectors and how the terms sum. The
 dict API (``divergence_of`` and the per-measure functions) aligns two
 mappings and sums with math.fsum: exact summation makes results independent
 of key order, so symmetry holds bit-exactly and pinned outputs stay
-byte-identical. ``BinRows`` interns a whole view's count tables once over
-one item index, normalizes each once and caches its side term, so each pair
-pays only for its pair term; it runs the same steps with math.fsum, so its
-values equal the dict API's bit for bit. Bootstrap resamples go through
+byte-identical. ``BinRows`` reads a whole view's bins as rows of one count
+panel (``popularity.panel_of``: the producers' shared panel, so nothing is
+interned again), divides each row once and caches its side term, so each
+pair pays only for its pair term; it runs the same steps with math.fsum, so
+its values equal the dict API's bit for bit. Bootstrap resamples go through
 ``divergence_of_arrays``, which sums with np.sum (its docstring says why).
 Inputs are plain mappings of item id to probability, as
-``popularity.normalize`` returns them.
+``popularity.normalize`` returns them, or two rows of one panel as
+``CountPanel.shares`` returns them.
 
 ``jsd_with_contributions`` ranks the items once, where it computes their
 partials, by the one ranking rule: descending partial, then descending
-combined share p + q, then id. The rank bands that turn the ranking into
-contribution groups live in ``analysis``.
+combined share p + q, then id. On two panel rows it aligns them through
+the panel's int positions (``_aligned_rows``, with no ``normalize``) and
+breaks ties with the panel's precomputed id rank; on other mappings it
+aligns by id and sorts the tied ids. Both give the same bits. The rank
+bands that turn the ranking into contribution groups live in ``analysis``.
 """
 
 from __future__ import annotations
@@ -40,10 +45,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
+
+from .popularity import CountPanel, RowShares, panel_of
 
 JSD_BITS = "jsd_bits"
 JACCARD = "jaccard"
@@ -151,6 +158,56 @@ def _partial_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum(0.5 * (tp + tq), 0.0)
 
 
+def _aligned_rows(panel: CountPanel, a: int, b: int):
+    """``_aligned`` for the counts of two rows of one count panel, through their positions.
+
+    Returns the union's positions into ``panel.ids`` in ``_aligned``'s
+    order (row a's items, then row b's other items) and the two rows'
+    counts over it, as floats.
+    """
+    ia, ib = panel.index[a], panel.index[b]
+    seen = np.zeros(panel.n_items, dtype=bool)
+    seen[ia] = True
+    union = np.concatenate((ia, ib[~seen[ib]]))
+    ca = np.zeros(union.size, dtype=np.float64)
+    ca[: ia.size] = panel.counts[a]
+    spread = np.zeros(panel.n_items, dtype=np.float64)
+    spread[ib] = panel.counts[b]
+    cb = spread[union]
+    if not (ca.any() and cb.any()):
+        raise ValueError(EMPTY_SUPPORT)
+    return union, ca, cb
+
+
+def _ranking(parts: np.ndarray, mass: np.ndarray, names: np.ndarray, id_rank) -> np.ndarray:
+    """Positions by the one ranking rule: descending partial, then descending mass, then id.
+
+    Every call pays for the ranking, so a fast unstable sort by partial
+    places the items whose partial is unique, and one lexsort puts only the
+    runs of equal partials in the rule's order. A lexsort of all items, each
+    with an id rank, took about 4x as long on random 10k-item pairs (2-core
+    x86 host) and pushed acceptance criterion 1 past its time limit. The
+    tied items' id ranks are gathered from ``id_rank`` when given (a count
+    panel's), or else found by sorting their ``names``.
+    """
+    order = np.argsort(-parts)
+    ranked = parts[order]
+    equal = ranked[1:] == ranked[:-1]
+    tied = np.zeros(len(parts), dtype=bool)
+    tied[1:] = equal
+    tied[:-1] |= equal
+    if tied.any():
+        sub = order[tied]
+        if id_rank is None:
+            sub_ids = names[sub].tolist()
+            sub_rank = np.empty(len(sub_ids), dtype=np.intp)
+            sub_rank[sorted(range(len(sub_ids)), key=sub_ids.__getitem__)] = np.arange(len(sub_ids))
+        else:
+            sub_rank = id_rank[sub]
+        order[tied] = sub[np.lexsort((sub_rank, -mass[sub], -parts[sub]))]
+    return order
+
+
 def jsd_with_contributions(P, Q) -> tuple[DriftValue, ContributionBreakdown]:
     """JSD plus each item's additive share of it.
 
@@ -159,28 +216,22 @@ def jsd_with_contributions(P, Q) -> tuple[DriftValue, ContributionBreakdown]:
     Items carrying no mass in either input contribute nothing and are
     excluded. The ranking follows the one ranking rule; ids compare as
     Python strings, because numpy's string sort treats trailing NULs
-    differently.
+    differently. Two rows of one count panel (``CountPanel.shares``) are
+    aligned through the panel's positions, and their ties read the panel's
+    id rank; any other mappings are aligned by id, and their tied ids are
+    sorted. The same shares give the same result either way, bit for bit.
     """
-    ids, p, q = _aligned(P, Q)
+    if type(P) is RowShares and type(Q) is RowShares and P.panel is Q.panel:
+        panel = P.panel
+        union, ca, cb = _aligned_rows(panel, P.row, Q.row)
+        p, q = ca / panel.totals[P.row], cb / panel.totals[Q.row]
+        names, id_rank = panel.ids[union], panel.id_rank[union]
+        ids = names.tolist()
+    else:
+        ids, p, q = _aligned(P, Q)
+        names, id_rank = np.array(ids, dtype=object), None
     parts = _partial_terms(p, q)
-    # Every call pays for the ranking, so a fast unstable sort by partial
-    # places the items whose partial is unique, and one lexsort puts only the
-    # runs of equal partials in the rule's order. A lexsort of all items, each
-    # with an id rank, took about 4x as long on random 10k-item pairs (2-core
-    # x86 host) and pushed acceptance criterion 1 past its time limit.
-    names = np.array(ids, dtype=object)
-    order = np.argsort(-parts)
-    ranked = parts[order]
-    equal = ranked[1:] == ranked[:-1]
-    tied = np.zeros(len(ids), dtype=bool)
-    tied[1:] = equal
-    tied[:-1] |= equal
-    if tied.any():
-        sub = order[tied]
-        sub_ids = names[sub].tolist()
-        id_rank = np.empty(len(sub_ids), dtype=np.intp)
-        id_rank[sorted(range(len(sub_ids)), key=sub_ids.__getitem__)] = np.arange(len(sub_ids))
-        order[tied] = sub[np.lexsort((id_rank, -(p + q)[sub], -parts[sub]))]
+    order = _ranking(parts, p + q, names, id_rank)
     values = parts.tolist()
     breakdown = ContributionBreakdown(
         dict(zip(ids, values)), math.fsum(values), names[order].tolist()
@@ -307,42 +358,48 @@ def divergence_of_arrays(
 
 
 class BinRows:
-    """One view's count tables as sparse rows over one shared item index.
+    """One view's count tables as sparse rows of one count panel.
 
-    The item index (id to int) is interned once over all tables. Each table
-    becomes an int index array into it plus its probabilities count / total
-    (zero counts dropped), and its side term under ``measure`` is cached, so
-    a pair computes only its pair term, over the union gathered through one
-    reused scratch vector of length n_items. Memory is O(sum of supports +
-    distinct items). Values equal ``divergence_of`` on the normalized tables
-    bit for bit: the divisions and elementwise terms are the same, and both
-    sum them with math.fsum. Pairs share the scratch vector, so one object
-    must not be used from two threads at once.
+    The panel comes from ``popularity.panel_of``: the tables' own shared
+    panel when they are its rows, or else one interned once for the view.
+    Every row's probabilities count / total come from one division over
+    the panel's cells; a row's nonzero ones and its side term under
+    ``measure`` are cached on the row's first use, so a pair computes only
+    its pair term, over the union gathered through one reused scratch
+    vector of length n_items. Values equal ``divergence_of`` on the
+    normalized tables bit for bit: the divisions and elementwise terms are
+    the same, and both sum them with math.fsum. Pairs share the scratch
+    vector, so one object must not be used from two threads at once.
     """
 
     def __init__(self, measure: Measure, tables: Mapping):
-        """``tables`` maps a caller's key to an object with ``counts`` and ``total``.
+        """``tables`` maps a caller's key to a ``PopularityDistribution``.
 
-        Totals must be positive; callers check that where they can name the bin.
+        The totals of the rows used must be positive; callers check that
+        where they can name the bin.
         """
         self.measure = measure
-        counts = [t.counts for t in tables.values()]
-        items = dict.fromkeys(chain.from_iterable(counts))
-        index = dict(zip(items, range(len(items))))
+        self._position = {key: r for r, key in enumerate(tables)}
+        self._panel = panel = panel_of(list(tables.values()))
+        per_cell = np.repeat(np.asarray(panel.totals), np.diff(panel.offsets))
+        self._shares = panel.all_counts / per_cell
         self._rows = {}
-        for (key, table), c in zip(tables.items(), counts):
-            n = len(c)
-            ids = np.fromiter(map(index.__getitem__, c), dtype=np.intp, count=n)
-            p = np.fromiter(c.values(), dtype=np.float64, count=n) / table.total
+        self._scratch = np.zeros(panel.n_items, dtype=np.float64)
+
+    def _row(self, key):
+        row = self._rows.get(key)
+        if row is None:
+            r, panel = self._position[key], self._panel
+            p = self._shares[panel.offsets[r] : panel.offsets[r + 1]]
             keep = p > 0.0
-            ids, p = ids[keep], p[keep]
-            self._rows[key] = (ids, p, _side_term(measure, p, _fsum))
-        self._scratch = np.zeros(len(index), dtype=np.float64)
+            ids, p = panel.index[r][keep], p[keep]
+            row = self._rows[key] = (ids, p, _side_term(self.measure, p, _fsum))
+        return row
 
     def value(self, left, right) -> float:
         """``measure`` between the rows stored under keys ``left`` and ``right``."""
-        ia, p, side_p = self._rows[left]
-        ib, q, side_q = self._rows[right]
+        ia, p, side_p = self._row(left)
+        ib, q, side_q = self._row(right)
         if not (p.size and q.size):
             raise ValueError(EMPTY_SUPPORT)
         # align q to p's support, then append q's own items after p's

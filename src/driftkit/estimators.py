@@ -10,10 +10,11 @@ order and are a pure function of (counts, n_resamples, seed).
 
 No divergence formula lives here. ``plugin_divergence`` goes through
 ``divergence_of`` (the dict API, exact fsum summation). The bootstrap aligns
-the two count tables once and takes both its plug-in value (exact fsum, equal
-to ``plugin_divergence`` bit for bit) and each resample (np.sum) from
-``divergence_of_arrays``; all run the same kernel in divergence.py, so the
-bias correction subtracts like from like.
+the two count tables once, as rows of their count panel (``panel_of``), and
+takes both its plug-in value (exact fsum, equal to ``plugin_divergence`` bit
+for bit) and each resample (np.sum) from ``divergence_of_arrays``; all run
+the same kernel in divergence.py, so the bias correction subtracts like from
+like.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DriftValue, Measure, _aligned, divergence_of, divergence_of_arrays
-from .popularity import PopularityDistribution, normalize, require_loans
+from .divergence import DriftValue, Measure, _aligned_rows, divergence_of, divergence_of_arrays
+from .popularity import PopularityDistribution, normalize, panel_of, require_loans
 
 DEFAULT_RESAMPLES = 500
 
@@ -76,7 +77,7 @@ def bootstrap_divergence(
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
 
-    _, ca, cb = _aligned(A.counts, B.counts)
+    _, ca, cb = _aligned_rows(panel_of([A, B]), 0, 1)
     pa = ca / A.total
     pb = cb / B.total
     plugin = divergence_of_arrays(measure, pa, pb, exact=True)

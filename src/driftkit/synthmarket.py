@@ -27,7 +27,7 @@ import numpy as np
 
 from .divergence import jsd
 from .events import TimeBin, assign_bin, find_bin
-from .popularity import PopularityDistribution
+from .popularity import CountPanel, PopularityDistribution, on_panel
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -240,28 +240,37 @@ def _build_truth(spec: SynthMarketSpec):
 
 
 def _sampled_bins(spec: SynthMarketSpec, truth: GroundTruth, bins_ss):
-    """Per bin, its multinomial loan tallies from the bin's own child seed.
+    """Every bin's multinomial loan tallies, each from the bin's own child seed.
 
-    Yields the tallies as a distribution, the drawn items' indices and counts,
+    Returns the bins' distributions, rows of one count panel that interns
+    each drawn item once, and per bin the drawn items' indices and counts
     and the seed reserved for the bin's event details.
     """
+    draws = []
     for i, child in enumerate(bins_ss.spawn(spec.n_bins)):
         sample_ss, events_ss = child.spawn(2)
         counts = np.random.default_rng(sample_ss).multinomial(
             spec.loans_per_bin, truth.weights[i]
         )
         nz = np.flatnonzero(counts)
-        items, item_counts = truth.occupants[i][nz], counts[nz]
-        ids = [item_id(x) for x in items.tolist()]
-        table = dict(zip(ids, item_counts.tolist()))
-        dist = PopularityDistribution(truth.bins[i], "all", table, spec.loans_per_bin)
-        yield dist, items, item_counts, events_ss
+        draws.append((truth.occupants[i][nz], counts[nz], events_ss))
+    distinct, position = np.unique(
+        np.concatenate([items for items, _, _ in draws]), return_inverse=True
+    )
+    panel = CountPanel(
+        [item_id(x) for x in distinct.tolist()],
+        position,
+        np.concatenate([counts for _, counts, _ in draws]),
+        [len(items) for items, _, _ in draws],
+        [spec.loans_per_bin] * spec.n_bins,
+    )
+    return on_panel(panel, ((b, "all") for b in truth.bins)), draws
 
 
 def sample_counts(spec: SynthMarketSpec) -> tuple[list[PopularityDistribution], GroundTruth]:
     """Multinomial loan tallies per bin, alongside the exact truth."""
     truth, bins_ss, _, _ = _build_truth(spec)
-    dists = [dist for dist, *_ in _sampled_bins(spec, truth, bins_ss)]
+    dists, _ = _sampled_bins(spec, truth, bins_ss)
     return dists, truth
 
 
@@ -335,7 +344,7 @@ def generate(
         return got
 
     events_path = Path(events_path)
-    dists = []
+    dists, draws = _sampled_bins(spec, truth, bins_ss)
     with open(events_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -353,9 +362,7 @@ def generate(
                 "residence",
             ]
         )
-        for dist, drawn, drawn_counts, events_ss in _sampled_bins(spec, truth, bins_ss):
-            dists.append(dist)
-            b = dist.bin
+        for b, (drawn, drawn_counts, events_ss) in zip(truth.bins, draws):
             ev_rng = np.random.default_rng(events_ss)
             n = spec.loans_per_bin
             items = np.repeat(drawn, drawn_counts)

@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -309,6 +312,62 @@ class TestExitCodes:
         assert code == 1
         assert f"{argv[0]} {flag} applies only to " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("at", [(), ("--at", "")], ids=["absent", "empty"])
+    def test_top_global_contrib_without_at_is_usage_error(self, tmp_path, capsys, at):
+        # the log does not exist: the missing flag is reported before it is read
+        out = tmp_path / "out"
+        code = run(
+            "trajectories", "--selector", "top_global_contrib", *at,
+            "--input", str(tmp_path / "absent.csv"), "--output-dir", str(out),
+        )
+        assert code == 1
+        assert "--at BIN is required for selector top_global_contrib" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, empty",
+        [
+            (("drift", "global"), ("--baseline", "")),
+            (("drift", "local"), ("--baseline", "")),
+            (("contrib", "--kind", "global"), ("--baseline", "")),
+            (("trajectories", "--selector", "top_total", "--k", "20"), ("--at", "")),
+            (("trajectories", "--selector", "top_global_contrib", "--at", "2022-04-01"),
+             ("--baseline", "")),
+        ],
+        ids=["drift-global", "drift-local", "contrib-global", "top-total-at", "contrib-baseline"],
+    )
+    def test_empty_view_flag_is_unset(self, tmp_path, argv, empty):
+        out = tmp_path / "out"
+        written = []
+        for extra in ((), empty):
+            assert run(*argv, *extra, "--input", str(FIXTURE), "--output-dir", str(out)) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            for p in out.iterdir():
+                p.unlink()
+        assert written[0] == written[1]
+
+    def test_predict_global_names_the_year_without_bins(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            "predict", "--kind", "global", "--input", str(FIXTURE), "--output-dir", str(out),
+            "--source-year", "2021", "--target-year", "2022",
+        )
+        assert code == 2
+        assert "year 2021: global drift needs at least two bins" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "driftkit", "drift", "local", "--input", str(FIXTURE),
+             "--window-start", "2099-01-01", "--window-end", "2099-12-31"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.endswith("driftkit: no events matched the window and cohort filters\n")
 
     @pytest.mark.parametrize(
         "kind, role", [("local", "the first bin"), ("global", "the baseline")], ids=["local", "global"]
