@@ -44,7 +44,6 @@ from .events import (
     Education,
     IngestError,
     IngestReport,
-    LoanEvent,
     Medium,
     Residence,
     SchemaError,
@@ -54,15 +53,12 @@ from .events import (
     assign_bin,
     find_bin,
     ingest,
-    matches,
-    read_events,
 )
 from .forecast import ForecastReport, predict_drift, score
 from .popularity import (
     PopularityDistribution,
     aggregate,
     normalize as normalize_distribution,
-    rank_items,
     restrict_top_k,
 )
 from .synthmarket import GroundTruth, SynthMarketSpec, generate, sample_counts, true_jsd

@@ -22,8 +22,8 @@ contiguous slices: ranks 1-100, 101-1K, 1K-10K, 10K-50K and the rest. The
 bands are defined here and nowhere else: ``DEFAULT_GROUP_BOUNDS``,
 ``N_GROUPS``, ``_BAND_EDGES`` and ``group_of_rank``.
 
-Bins are found by ``events.find_bin``; selectors rank by ``CountPanel.rank``, the
-panel form of ``popularity.rank_items``.
+Bins are found by ``events.find_bin``; selectors rank by ``CountPanel.rank``,
+the one item ranking (descending score, then id).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .divergence import BinRows, ContributionBreakdown, Measure, jsd_with_contributions
 # not called here since every view reads panel rows; kept importable as
 # analysis.divergence_of and analysis.normalize, where bench/tracing.py
-# hooks the dict API
+# hooks them
 from .divergence import divergence_of  # noqa: F401
 from .estimators import Estimator, bootstrap_divergence
 from .events import TimeBin, bin_from_index, find_bin

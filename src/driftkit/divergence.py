@@ -17,27 +17,25 @@ alpha = 0 limits, and the support overlap behind Jaccard and Dice), split in
 three private steps: a side term of one distribution alone (H(P), the Tsallis
 sum or the support size), a pair term over the union support (the same side
 term of the midpoint, or the shared support size), and their combination.
-Callers differ only in how they align the vectors and how the terms sum. The
-dict API (``divergence_of`` and the per-measure functions) aligns two
-mappings and sums with math.fsum: exact summation makes results independent
-of key order, so symmetry holds bit-exactly and pinned outputs stay
-byte-identical. ``BinRows`` reads a whole view's bins as rows of one count
-panel (``popularity.panel_of``: the producers' shared panel, so nothing is
-interned again), divides each row once and caches its side term, so each
-pair pays only for its pair term; it runs the same steps with math.fsum, so
-its values equal the dict API's bit for bit. Bootstrap resamples go through
+
+Every input is two rows of one count panel (``popularity.CountPanel``).
+``divergence_of``, the per-measure functions and ``jsd_with_contributions``
+take them through ``_shares``: two rows of one panel (``CountPanel.shares``)
+are read in place, two plain mappings of item id to probability
+(``popularity.normalize``) become a two-row panel of their own, and
+``_aligned_rows`` aligns the pair over its union. They sum with math.fsum:
+exact summation makes results independent of key order, so symmetry holds
+bit-exactly and pinned outputs stay byte-identical. ``BinRows`` reads a
+whole view's bins as rows of one panel (``popularity.panel_of``), divides
+each row once and caches its side term, so each pair pays only for its
+pair term; it sums with math.fsum too, so its values equal
+``divergence_of``'s bit for bit. Bootstrap resamples go through
 ``divergence_of_arrays``, which sums with np.sum (its docstring says why).
-Inputs are plain mappings of item id to probability, as
-``popularity.normalize`` returns them, or two rows of one panel as
-``CountPanel.shares`` returns them.
 
 ``jsd_with_contributions`` ranks the items once, where it computes their
 partials, by the one ranking rule: descending partial, then descending
-combined share p + q, then id. On two panel rows it aligns them through
-the panel's int positions (``_aligned_rows``, with no ``normalize``) and
-breaks ties with the panel's precomputed id rank; on other mappings it
-aligns by id and sorts the tied ids. Both give the same bits. The rank
-bands that turn the ranking into contribution groups live in ``analysis``.
+combined share p + q, then id (the panel's id rank). The rank bands that
+turn the ranking into contribution groups live in ``analysis``.
 """
 
 from __future__ import annotations
@@ -57,13 +55,12 @@ JACCARD = "jaccard"
 EMPTY_SUPPORT = "divergence needs two distributions with non-empty support"
 
 
-def alpha_label(alpha: float) -> str:
-    return f"jsd_alpha_norm({alpha:g})"
-
-
 @dataclass(frozen=True)
 class Measure:
-    """Which divergence to compute: 'jsd' (bits), 'jsd_alpha' (needs alpha), or 'jaccard'."""
+    """Which divergence to compute: 'jsd' (bits), 'jsd_alpha' (needs alpha), or 'jaccard'.
+
+    A jsd_alpha alpha must be finite and >= 0; one above 2 warns.
+    """
 
     kind: str = "jsd"
     alpha: float | None = None
@@ -71,9 +68,13 @@ class Measure:
     def __post_init__(self):
         if self.kind not in ("jsd", "jsd_alpha", "jaccard"):
             raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "jsd_alpha" and self.alpha is None:
+        if self.kind != "jsd_alpha":
+            return
+        if self.alpha is None:
             raise ValueError("jsd_alpha requires alpha")
-        if self.kind == "jsd_alpha" and not 0.0 <= self.alpha <= 2.0:
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha:g}")
+        if self.alpha > 2.0:
             warnings.warn(
                 f"alpha={self.alpha:g} outside [0, 2]; the square root of the result is "
                 "not a metric there",
@@ -86,7 +87,7 @@ class Measure:
             return JSD_BITS
         if self.kind == "jaccard":
             return JACCARD
-        return alpha_label(self.alpha)
+        return f"jsd_alpha_norm({self.alpha:g})"
 
 
 @dataclass(frozen=True)
@@ -110,20 +111,6 @@ class ContributionBreakdown:
     partials: dict[str, float]
     total_bits: float
     ranking: list[str]
-
-
-def _aligned(p_map: Mapping[str, float], q_map: Mapping[str, float]):
-    """Union-support alignment of two sparse mappings into paired arrays."""
-    ids = list(p_map)
-    extra = [k for k in q_map if k not in p_map]
-    n_p, n = len(ids), len(ids) + len(extra)
-    ids.extend(extra)
-    p = np.zeros(n, dtype=np.float64)
-    p[:n_p] = np.fromiter(p_map.values(), dtype=np.float64, count=n_p)
-    q = np.fromiter(map(q_map.get, ids, repeat(0.0)), dtype=np.float64, count=n)
-    if not (p.any() and q.any()):
-        raise ValueError(EMPTY_SUPPORT)
-    return ids, p, q
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -159,11 +146,10 @@ def _partial_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _aligned_rows(panel: CountPanel, a: int, b: int):
-    """``_aligned`` for the counts of two rows of one count panel, through their positions.
+    """Two rows of one count panel aligned over their union, through their positions.
 
-    Returns the union's positions into ``panel.ids`` in ``_aligned``'s
-    order (row a's items, then row b's other items) and the two rows'
-    counts over it, as floats.
+    Returns the union's positions into ``panel.ids`` (row a's items, then
+    row b's other items) and the two rows' counts over it, as floats.
     """
     ia, ib = panel.index[a], panel.index[b]
     seen = np.zeros(panel.n_items, dtype=bool)
@@ -179,7 +165,32 @@ def _aligned_rows(panel: CountPanel, a: int, b: int):
     return union, ca, cb
 
 
-def _ranking(parts: np.ndarray, mass: np.ndarray, names: np.ndarray, id_rank) -> np.ndarray:
+def _shares(P, Q):
+    """The panel, union positions and aligned shares of two distributions.
+
+    Two rows of one panel (``CountPanel.shares``) are read in place. Any
+    other two mappings become a two-row panel with totals 1.0: row 0 holds
+    P's items in P's order, and row 1 spans the union (P's ids, then Q's
+    other ids), zeros included.
+    """
+    if type(P) is RowShares and type(Q) is RowShares and P.panel is Q.panel:
+        panel, a, b = P.panel, P.row, Q.row
+    else:
+        ids = list(P)
+        n_p = len(ids)
+        ids.extend(k for k in Q if k not in P)
+        n = len(ids)
+        counts = np.concatenate((
+            np.fromiter(P.values(), dtype=np.float64, count=n_p),
+            np.fromiter(map(Q.get, ids, repeat(0.0)), dtype=np.float64, count=n),
+        ))
+        index = np.concatenate((np.arange(n_p), np.arange(n)))
+        panel, a, b = CountPanel(ids, index, counts, [n_p, n], [1.0, 1.0]), 0, 1
+    union, ca, cb = _aligned_rows(panel, a, b)
+    return panel, union, ca / panel.totals[a], cb / panel.totals[b]
+
+
+def _ranking(parts: np.ndarray, mass: np.ndarray, panel: CountPanel, union) -> np.ndarray:
     """Positions by the one ranking rule: descending partial, then descending mass, then id.
 
     Every call pays for the ranking, so a fast unstable sort by partial
@@ -187,8 +198,9 @@ def _ranking(parts: np.ndarray, mass: np.ndarray, names: np.ndarray, id_rank) ->
     runs of equal partials in the rule's order. A lexsort of all items, each
     with an id rank, took about 4x as long on random 10k-item pairs (2-core
     x86 host) and pushed acceptance criterion 1 past its time limit. The
-    tied items' id ranks are gathered from ``id_rank`` when given (a count
-    panel's), or else found by sorting their ``names``.
+    tied items' id ranks are read from ``panel.id_rank`` through ``union``
+    (the items' positions in ``panel.ids``), so the panel sorts its ids
+    only when some partials tie.
     """
     order = np.argsort(-parts)
     ranked = parts[order]
@@ -198,13 +210,7 @@ def _ranking(parts: np.ndarray, mass: np.ndarray, names: np.ndarray, id_rank) ->
     tied[:-1] |= equal
     if tied.any():
         sub = order[tied]
-        if id_rank is None:
-            sub_ids = names[sub].tolist()
-            sub_rank = np.empty(len(sub_ids), dtype=np.intp)
-            sub_rank[sorted(range(len(sub_ids)), key=sub_ids.__getitem__)] = np.arange(len(sub_ids))
-        else:
-            sub_rank = id_rank[sub]
-        order[tied] = sub[np.lexsort((sub_rank, -mass[sub], -parts[sub]))]
+        order[tied] = sub[np.lexsort((panel.id_rank[union[sub]], -mass[sub], -parts[sub]))]
     return order
 
 
@@ -213,28 +219,17 @@ def jsd_with_contributions(P, Q) -> tuple[DriftValue, ContributionBreakdown]:
 
     The returned DriftValue is the entropy-form JSD; the breakdown's
     ``total_bits`` is the exact partial sum. The two agree to ~1e-15.
-    Items carrying no mass in either input contribute nothing and are
-    excluded. The ranking follows the one ranking rule; ids compare as
-    Python strings, because numpy's string sort treats trailing NULs
-    differently. Two rows of one count panel (``CountPanel.shares``) are
-    aligned through the panel's positions, and their ties read the panel's
-    id rank; any other mappings are aligned by id, and their tied ids are
-    sorted. The same shares give the same result either way, bit for bit.
+    The ranking follows the one ranking rule; ids compare as Python
+    strings (the panel's id rank), because numpy's string sort treats
+    trailing NULs differently.
     """
-    if type(P) is RowShares and type(Q) is RowShares and P.panel is Q.panel:
-        panel = P.panel
-        union, ca, cb = _aligned_rows(panel, P.row, Q.row)
-        p, q = ca / panel.totals[P.row], cb / panel.totals[Q.row]
-        names, id_rank = panel.ids[union], panel.id_rank[union]
-        ids = names.tolist()
-    else:
-        ids, p, q = _aligned(P, Q)
-        names, id_rank = np.array(ids, dtype=object), None
+    panel, union, p, q = _shares(P, Q)
     parts = _partial_terms(p, q)
-    order = _ranking(parts, p + q, names, id_rank)
+    order = _ranking(parts, p + q, panel, union)
+    names = panel.ids[union]
     values = parts.tolist()
     breakdown = ContributionBreakdown(
-        dict(zip(ids, values)), math.fsum(values), names[order].tolist()
+        dict(zip(names.tolist(), values)), math.fsum(values), names[order].tolist()
     )
     value = _measure_value(Measure("jsd"), p, q, _fsum)
     return DriftValue(value, JSD_BITS), breakdown
@@ -337,7 +332,7 @@ def _measure_value(measure: Measure, p: np.ndarray, q: np.ndarray, total) -> flo
 
 def divergence_of(measure: Measure, P, Q) -> DriftValue:
     """``measure`` between two sparse distributions, over their union support."""
-    _, p, q = _aligned(P, Q)
+    _, _, p, q = _shares(P, Q)
     return DriftValue(_measure_value(measure, p, q, _fsum), measure.label)
 
 

@@ -9,12 +9,12 @@ from a child seed spawned as (seed, b), so results do not depend on execution
 order and are a pure function of (counts, n_resamples, seed).
 
 No divergence formula lives here. ``plugin_divergence`` goes through
-``divergence_of`` (the dict API, exact fsum summation). The bootstrap aligns
-the two count tables once, as rows of their count panel (``panel_of``), and
-takes both its plug-in value (exact fsum, equal to ``plugin_divergence`` bit
-for bit) and each resample (np.sum) from ``divergence_of_arrays``; all run
-the same kernel in divergence.py, so the bias correction subtracts like from
-like.
+``divergence_of`` on the two ``normalize``d tables (exact fsum summation).
+The bootstrap aligns the two count tables once, as rows of their count
+panel (``panel_of``), and takes both its plug-in value (exact fsum, equal to
+``plugin_divergence`` bit for bit) and each resample (np.sum) from
+``divergence_of_arrays``; all run the same kernel in divergence.py, so the
+bias correction subtracts like from like.
 """
 
 from __future__ import annotations

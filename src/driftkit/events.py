@@ -1,12 +1,11 @@
-"""Loan-event data model: records, time bins, cohort filters, and CSV ingestion.
+"""Loan-log data model: time bins, cohort filters, and CSV ingestion.
 
 `ingest` is the one pass from CSV rows to per-bin counts: it checks each
 row, resolves each distinct date string once into its bin, window and
 exclusion status, applies the cohort (`CohortFilter.admits`, the one cohort
 rule) and counts the row's raw item key into its bin's `BinTally`, with no
-per-row record. `read_events` is the per-row `LoanEvent` reader, kept as
-the reference that tests compare the tally against. `open_table` opens every
-input table (log, catalog, items table); `find_bin` finds a bin by name.
+per-row record. `open_table` opens every input table (log, catalog, items
+table); `find_bin` finds a bin by name.
 """
 
 from __future__ import annotations
@@ -60,30 +59,6 @@ class Residence(str, Enum):
     LARGE_CITY = "large_city"
     TOWN_RURAL = "town_rural"
     UNKNOWN = "unknown"
-
-
-_CATEGORY = {m.value: m for m in Category}
-_MEDIUM = {m.value: m for m in Medium}
-_SEX = {m.value: m for m in Sex}
-_EDUCATION = {m.value: m for m in Education}
-_RESIDENCE = {m.value: m for m in Residence}
-
-
-@dataclass(frozen=True, slots=True)
-class LoanEvent:
-    """One consumption record, demographics snapshotted at loan time."""
-
-    date: date
-    item_key: str
-    title: str
-    creator: str
-    category: Category
-    medium: Medium
-    loaner_id: str
-    birthdate: date | None
-    sex: Sex
-    education: Education
-    residence: Residence
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,19 +213,6 @@ class CohortFilter:
 EVERYONE = CohortFilter()
 
 
-def matches(event: LoanEvent, cohort: CohortFilter, tally: Counter | None = None) -> bool:
-    """True iff all present filter fields match the event (`CohortFilter.admits`)."""
-    return cohort.admits(
-        event.date,
-        event.birthdate,
-        event.category,
-        event.sex,
-        event.education,
-        event.residence,
-        tally,
-    )
-
-
 # CSV ingestion ---------------------------------------------------------------
 
 DEFAULT_SCHEMA = {
@@ -311,12 +273,15 @@ class IngestReport:
 _MAX_EXAMPLES = 10
 
 # the optional enum columns: schema field, value lookup, default member
-_ENUM_FIELDS = (
-    ("category", _CATEGORY, Category.OTHER),
-    ("medium", _MEDIUM, Medium.OTHER),
-    ("sex", _SEX, Sex.UNKNOWN),
-    ("education", _EDUCATION, Education.UNKNOWN),
-    ("residence", _RESIDENCE, Residence.UNKNOWN),
+_ENUM_FIELDS = tuple(
+    (name, {m.value: m for m in enum}, default)
+    for name, enum, default in (
+        ("category", Category, Category.OTHER),
+        ("medium", Medium, Medium.OTHER),
+        ("sex", Sex, Sex.UNKNOWN),
+        ("education", Education, Education.UNKNOWN),
+        ("residence", Residence, Residence.UNKNOWN),
+    )
 )
 
 _BAD = object()  # cache entry of a date or birthdate string that does not parse
@@ -399,19 +364,6 @@ def _decode_error(path, rows: int, exc: UnicodeDecodeError) -> IngestError:
     )
 
 
-def _open_log(path, schema):
-    schema = DEFAULT_SCHEMA if schema is None else schema
-    return open_table(path, schema, MANDATORY_FIELDS, "{path}: missing mandatory column {column!r}")
-
-
-def _check_malformed(report: IngestReport, max_bad: float):
-    if report.rows and report.malformed > max_bad * report.rows:
-        raise IngestError(
-            f"{report.path}: {report.malformed} of {report.rows} rows malformed "
-            f"(threshold {max_bad:.1%}); first offenders: {report.malformed_examples}"
-        )
-
-
 def ingest(
     path: str | Path,
     schema: dict[str, str] | None = None,
@@ -439,7 +391,9 @@ def ingest(
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity: {granularity!r}")
-    handle, reader, columns = _open_log(path, schema)
+    missing = "{path}: missing mandatory column {column!r}"
+    schema = DEFAULT_SCHEMA if schema is None else schema
+    handle, reader, columns = open_table(path, schema, MANDATORY_FIELDS, missing)
     report = IngestReport(path=str(path))
     tallies = _tally_stream(
         handle,
@@ -579,159 +533,13 @@ def _tally_stream(handle, reader, columns, window, exclude, max_bad, granularity
         report.accepted = rows - malformed - out_of_window - excluded
         report.flagged_enum_values = flagged
 
-    _check_malformed(report, max_bad)
+    if rows and malformed > max_bad * rows:
+        raise IngestError(
+            f"{report.path}: {malformed} of {rows} rows malformed "
+            f"(threshold {max_bad:.1%}); first offenders: {examples}"
+        )
     days.clear()
     for index in sorted(tallies):
         tally = tallies.pop(index)
         if tally.rows:
             yield tally
-
-
-def read_events(
-    path: str | Path,
-    schema: dict[str, str] | None = None,
-    window: DateRange | None = None,
-    exclude: tuple[DateRange, ...] | list[DateRange] = (),
-    max_malformed_fraction: float = 0.01,
-) -> tuple[Iterator[LoanEvent], IngestReport]:
-    """Stream one `LoanEvent` per accepted row: the reference reader.
-
-    It applies `ingest`'s row checks, window, exclusions and report, row by
-    row, without binning or a cohort, and raises IngestError at the end of a
-    log with too many malformed rows, after yielding its events. Tests
-    compare `ingest` plus `aggregate` with it plus `matches`.
-    """
-    handle, reader, columns = _open_log(path, schema)
-    report = IngestReport(path=str(path))
-    events = _event_stream(
-        handle, reader, columns, window, tuple(exclude), max_malformed_fraction, report
-    )
-    return events, report
-
-
-def _event_stream(handle, reader, columns, window, exclude, max_bad, report):
-    i_date = columns["date"]
-    i_key = columns["item_key"]
-    i_title = columns["title"]
-    i_loaner = columns["loaner_id"]
-    i_creator = columns.get("creator")
-    i_cat = columns.get("category")
-    i_med = columns.get("medium")
-    i_birth = columns.get("birthdate")
-    i_sex = columns.get("sex")
-    i_edu = columns.get("education")
-    i_res = columns.get("residence")
-
-    date_cache: dict[str, date | None] = {}
-    from_iso = date.fromisoformat
-
-    def parse_date(text):
-        d = date_cache.get(text)
-        if d is None and text not in date_cache:
-            try:
-                d = from_iso(text)
-            except ValueError:
-                d = None
-            date_cache[text] = d
-        return d
-
-    def flag_example(row_no, reason):
-        if len(report.malformed_examples) < _MAX_EXAMPLES:
-            report.malformed_examples.append(f"row {row_no}: {reason}")
-
-    ncols_min = max(i for i in columns.values() if i is not None) + 1
-
-    try:
-        for row in reader:
-            report.rows += 1
-            if len(row) < ncols_min:
-                report.malformed += 1
-                flag_example(report.rows, "short row")
-                continue
-            d = parse_date(row[i_date])
-            if d is None:
-                report.malformed += 1
-                flag_example(report.rows, f"bad date {row[i_date]!r}")
-                continue
-            key = row[i_key]
-            title = row[i_title]
-            loaner = row[i_loaner]
-            if not key or not title or not loaner:
-                report.malformed += 1
-                flag_example(report.rows, "empty mandatory field")
-                continue
-
-            birth = None
-            if i_birth is not None:
-                raw = row[i_birth]
-                if raw:
-                    birth = parse_date(raw)
-                    if birth is None:
-                        report.malformed += 1
-                        flag_example(report.rows, f"bad birthdate {raw!r}")
-                        continue
-                    if birth > d:
-                        report.malformed += 1
-                        flag_example(report.rows, "birthdate after loan date")
-                        continue
-
-            if window is not None and not (window.start <= d <= window.end):
-                report.out_of_window += 1
-                continue
-            skip = False
-            for rng in exclude:
-                if rng.start <= d <= rng.end:
-                    report.excluded += 1
-                    skip = True
-                    break
-            if skip:
-                continue
-
-            flagged = 0
-            raw = row[i_cat] if i_cat is not None else ""
-            category = _CATEGORY.get(raw)
-            if category is None:
-                category = Category.OTHER
-                flagged += bool(raw)
-            raw = row[i_med] if i_med is not None else ""
-            medium = _MEDIUM.get(raw)
-            if medium is None:
-                medium = Medium.OTHER
-                flagged += bool(raw)
-            raw = row[i_sex] if i_sex is not None else ""
-            sex = _SEX.get(raw)
-            if sex is None:
-                sex = Sex.UNKNOWN
-                flagged += bool(raw)
-            raw = row[i_edu] if i_edu is not None else ""
-            education = _EDUCATION.get(raw)
-            if education is None:
-                education = Education.UNKNOWN
-                flagged += bool(raw)
-            raw = row[i_res] if i_res is not None else ""
-            residence = _RESIDENCE.get(raw)
-            if residence is None:
-                residence = Residence.UNKNOWN
-                flagged += bool(raw)
-            report.flagged_enum_values += flagged
-
-            report.accepted += 1
-            yield LoanEvent(
-                d,
-                key,
-                title,
-                row[i_creator] if i_creator is not None else "",
-                category,
-                medium,
-                loaner,
-                birth,
-                sex,
-                education,
-                residence,
-            )
-    except UnicodeDecodeError as exc:
-        raise _decode_error(report.path, report.rows, exc) from exc
-    finally:
-        handle.close()
-
-    _check_malformed(report, max_bad)

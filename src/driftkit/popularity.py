@@ -1,11 +1,12 @@
 """Sparse popularity distributions per (time bin, cohort), on one shared count panel.
 
 `aggregate` maps the per-bin raw-key tallies of `events.ingest` through the
-canonical catalog into `PopularityDistribution`s. The producers
-(`aggregate`, `restrict_top_k` and `synthmarket`'s sampler) build their
-distributions as rows of one `CountPanel`: the item ids are interned once,
-each id's rank in Python string order is computed once, and each bin is an
-int index array into the ids plus its counts and total. A producer-built
+canonical catalog into `PopularityDistribution`s. The count panel is the
+library's one item representation: the producers (`aggregate`,
+`restrict_top_k` and `synthmarket`'s sampler) build their distributions as
+rows of one `CountPanel`, where the item ids are interned once, each id's
+rank in Python string order is computed once, and each bin is an int index
+array into the ids plus its counts and total. A producer-built
 distribution's ``counts`` is a read-only mapping view of its row
 (`RowCounts`), iterating in the bin's own item order; a distribution built
 by hand from a plain mapping works everywhere too. Every consumer gets its
@@ -14,15 +15,13 @@ interns a list of hand-built distributions once.
 
 Four rules live only here: `require_loans`, `normalize` (to a plain dict of
 item shares), the ranking of items by descending score, then id
-(`rank_items` over a mapping, `CountPanel.rank` over panel positions),
-which every item selection uses, and `panel_of`.
+(`CountPanel.rank`), which every item selection and the rows of
+``distributions.csv`` use, and `panel_of`.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
-import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -81,16 +80,15 @@ class CountPanel:
     @classmethod
     def intern(cls, tables: list[Mapping], totals: list) -> CountPanel:
         """One row per mapping of item id to count, with the given totals."""
-        position = dict.fromkeys(chain.from_iterable(tables))
-        for i, item in enumerate(position):
-            position[item] = i
+        ids = list(dict.fromkeys(chain.from_iterable(tables)))
+        position = dict(zip(ids, range(len(ids))))
         sizes = [len(table) for table in tables]
         cells = map(position.__getitem__, chain.from_iterable(tables))
         all_index = np.fromiter(cells, dtype=np.intp, count=sum(sizes))
         all_counts = np.array(list(chain.from_iterable(table.values() for table in tables)))
         if all_counts.dtype.kind != "i":
             all_counts = all_counts.astype(np.float64)
-        return cls(list(position), all_index, all_counts, sizes, totals)
+        return cls(ids, all_index, all_counts, sizes, totals)
 
     def __reduce__(self):
         sizes = np.diff(self.offsets)
@@ -228,7 +226,8 @@ def aggregate(
     Each raw item key is mapped through the catalog once per bin; keys
     missing from the catalog pass through as their own canonical id, and
     their loans are counted in the report. Returns the distributions in the
-    tallies' order, which `ingest` makes bin order, as rows of one panel.
+    tallies' order, which `ingest` makes bin order, as rows of one panel;
+    the list is empty when no row matched, which the caller reports.
     """
     report = AggregateReport()
     mapping = catalog.mapping if catalog is not None else None
@@ -254,8 +253,6 @@ def aggregate(
         totals.append(total)
         cells.append((tally.bin, tally.cohort))
 
-    if not cells:
-        log.warning("no events matched the window and cohort filters")
     return on_panel(CountPanel.intern(tables, totals), cells), report
 
 
@@ -270,15 +267,6 @@ def normalize(dist: PopularityDistribution) -> dict[str, float]:
     require_loans(dist)
     total = dist.total
     return {k: c / total for k, c in dist.counts.items()}
-
-
-def rank_items(scores: Mapping[str, int], k: int | None = None) -> list[str]:
-    """Item ids by descending score, then id; only the first k if k is given."""
-
-    def key(item):
-        return -scores[item], item
-
-    return sorted(scores, key=key) if k is None else heapq.nsmallest(k, scores, key=key)
 
 
 def restrict_top_k(
@@ -320,12 +308,3 @@ def restrict_top_k(
         compact,
     )
     return on_panel(restricted, ((d.bin, d.cohort) for d in dists))
-
-
-def check_probabilities(probs: Mapping[str, float], tol: float = 1e-12) -> bool:
-    """Exact-summation check that probabilities form a distribution."""
-    if not probs:
-        return False
-    if any(p <= 0.0 for p in probs.values()):
-        return False
-    return abs(math.fsum(probs.values()) - 1.0) <= tol

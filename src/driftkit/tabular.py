@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .analysis import N_GROUPS, DriftMatrix, DriftSeries, TrajectoryPanel, group_of_rank
 from .canon import CanonicalCatalog
 from .divergence import ContributionBreakdown
 from .events import open_table, table_rows
 from .forecast import ForecastReport
-from .popularity import PopularityDistribution, rank_items
+from .popularity import PopularityDistribution, panel_of
 
 GROUP_LABELS = [f"g{g}" for g in range(1, N_GROUPS + 1)]
 
@@ -66,10 +69,20 @@ def write_trajectories(path: Path, panel: TrajectoryPanel):
     _write_csv(path, ["canonical_id", "peak_bin"] + [b.label for b in panel.bins], rows)
 
 
+def _ranked_counts(dists: list[PopularityDistribution]):
+    """Each bin's (label, id, count) rows by descending count, then id (`CountPanel.rank`)."""
+    panel = panel_of(dists)
+    scores = np.zeros(panel.n_items, dtype=panel.all_counts.dtype)
+    member = np.zeros(panel.n_items, dtype=bool)
+    for d, index, counts in zip(dists, panel.index, panel.counts):
+        scores[index], member[index] = counts, True
+        ranked = panel.rank(scores, member)
+        member[index] = False
+        yield from zip(repeat(d.bin.label), panel.ids[ranked].tolist(), scores[ranked].tolist())
+
+
 def write_distributions(path: Path, dists: list[PopularityDistribution]):
-    labelled = ((d.bin.label, d.counts) for d in dists)
-    rows = ([label, i, counts[i]] for label, counts in labelled for i in rank_items(counts))
-    _write_csv(path, ["bin_start", "canonical_id", "count"], rows)
+    _write_csv(path, ["bin_start", "canonical_id", "count"], _ranked_counts(dists))
 
 
 def write_mapping(path: Path, mapping: dict[str, str]):

@@ -367,7 +367,7 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 2
-        assert proc.stderr.endswith("driftkit: no events matched the window and cohort filters\n")
+        assert proc.stderr == "driftkit: no events matched the window and cohort filters\n"
 
     @pytest.mark.parametrize(
         "kind, role", [("local", "the first bin"), ("global", "the baseline")], ids=["local", "global"]
@@ -414,6 +414,14 @@ class TestExitCodes:
         assert run("drift", "local", "--config", str(cfg), "--output-dir", str(out), *flags) == 1
         err = capsys.readouterr().err
         assert f"--{option} (config key {option}) applies only to {applies}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5"])
+    def test_alpha_not_finite_and_nonnegative_is_usage_error(self, tmp_path, capsys, alpha):
+        out = tmp_path / "out"
+        argv = ("--measure", "jsd_alpha", f"--alpha={alpha}", "--output-dir", str(out))
+        assert run("drift", "local", "--input", str(FIXTURE), *argv) == 1
+        assert f"alpha must be a finite number >= 0, got {float(alpha):g}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", [("ingest-check",), ("drift", "local")])

@@ -253,6 +253,9 @@ class TestMeasureDispatch:
             Measure("kl")
         with pytest.raises(ValueError):
             Measure("jsd_alpha")
+        for alpha in (math.nan, math.inf, -math.inf, -0.5):
+            with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+                Measure("jsd_alpha", alpha)
 
     @pytest.mark.parametrize(
         "measure", [Measure("jsd"), Measure("jaccard"), Measure("jsd_alpha", 0.0)]

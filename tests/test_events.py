@@ -10,7 +10,6 @@ from driftkit.events import (
     CohortFilter,
     DateRange,
     IngestError,
-    LoanEvent,
     Medium,
     SchemaError,
     Sex,
@@ -20,11 +19,10 @@ from driftkit.events import (
     assign_bin,
     bin_from_index,
     ingest,
-    matches,
-    read_events,
 )
 
 from conftest import event_row, write_events_csv
+from reference import LoanEvent, matches, read_events
 
 
 def make_event(**kwargs):

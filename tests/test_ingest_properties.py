@@ -1,7 +1,7 @@
 """Differential properties of the one-pass ingest tally.
 
 `ingest` plus `aggregate` must give what the per-row reference reader
-(`read_events`) gives when its events are filtered by `matches`, binned by
+(`reference.read_events`) gives when its events are filtered by `matches`, binned by
 `assign_bin` and mapped through the catalog one by one: the same
 distributions, with the same bin order and the same item order within each
 bin, the same `IngestReport` and `AggregateReport`, and the same abort when
@@ -32,10 +32,10 @@ from driftkit.events import (
     Sex,
     assign_bin,
     ingest,
-    matches,
-    read_events,
 )
 from driftkit.popularity import AggregateReport, PopularityDistribution, aggregate
+
+from reference import matches, read_events
 
 FIXTURE = Path(__file__).parent / "fixtures" / "events_1k.csv"
 

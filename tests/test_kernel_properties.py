@@ -1,16 +1,20 @@
 """Properties of the one kernel per measure and the one ranking rule.
 
-The dict API (exact fsum), the plug-in views' per-view rows (exact fsum) and
-the bootstrap's array call (np.sum) run the same kernels; these checks tie
-them together and pin the dict API's order independence. The contribution
-ranking is checked on the same random count tables, and so are the partial
-sum against the entropy form, invariance under renaming the items and the
-continuity of alpha-JSD at alpha = 1. Every view is planned once: the global
-baseline defaults to the first bin, and every view refuses a single bin.
+``divergence_of`` (exact fsum), the plug-in views' per-view rows (exact
+fsum) and the bootstrap's array call (np.sum) run the same kernels; these
+checks tie them together, pin their order independence and hold them to
+the plain-dict references of ``tests/reference.py``, which import none of
+it. The contribution ranking is checked on the same random count tables,
+and so are the partial sum against the entropy form, invariance under
+renaming the items and the continuity of alpha-JSD at alpha = 1. Every view
+is planned once: the global baseline defaults to the first bin, and every
+view refuses a single bin.
 """
 
+import ast
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,15 +31,16 @@ from driftkit.analysis import (
 )
 from driftkit.divergence import (
     Measure,
-    _aligned,
+    _aligned_rows,
     divergence_of,
     divergence_of_arrays,
     jsd,
     jsd_alpha_normalized,
     jsd_with_contributions,
 )
-from driftkit.popularity import PopularityDistribution, normalize
+from driftkit.popularity import PopularityDistribution, normalize, panel_of
 
+import reference as oracle
 from conftest import dist
 
 # alpha near 1 divides by (1 - alpha), which magnifies summation dust past any
@@ -65,7 +70,7 @@ def test_one_kernel_per_measure(counts_a, counts_b, seed):
     P_shuffled, Q_shuffled = normalize(dist(shuffled(counts_a, seed))), normalize(
         dist(shuffled(counts_b, seed + 1))
     )
-    _, ca, cb = _aligned(A.counts, B.counts)
+    _, ca, cb = _aligned_rows(panel_of([A, B]), 0, 1)
     for measure in MEASURES:
         value = divergence_of(measure, P, Q).value
         assert divergence_of(measure, Q, P).value == value
@@ -181,7 +186,10 @@ def test_plugin_views_equal_the_dict_api(dists, data):
     for measure in MEASURES:
 
         def reference(i, j):
-            return divergence_of(measure, normalize(dists[i]), normalize(dists[j])).value
+            P, Q = normalize(dists[i]), normalize(dists[j])
+            value = divergence_of(measure, P, Q).value
+            assert abs(value - oracle.value(measure.kind, P, Q, measure.alpha)) <= 1e-12
+            return value
 
         local = local_drift(dists, measure=measure).values()
         assert local == [reference(t - 1, t) for t in range(1, n)]
@@ -242,3 +250,17 @@ def test_views_default_to_the_first_bin_and_need_two_bins(dists):
     for view in views:
         with pytest.raises(ValueError, match="at least two bins"):
             view()
+
+
+def test_reference_imports_none_of_the_code_it_checks():
+    """No oracle in tests/reference.py may become an adapter over the code it checks."""
+    forbidden = re.compile(r"^driftkit\.(divergence|estimators|analysis)(\.|$)|(^|\.)CountPanel$")
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:  # a name, an attribute, or a module name in a string
+            names = [getattr(node, key, None) for key in ("id", "attr", "value")]
+        assert not any(isinstance(n, str) and forbidden.search(n) for n in names), ast.dump(node)

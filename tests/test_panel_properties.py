@@ -3,13 +3,16 @@
 The producers build distributions as rows of one shared ``CountPanel``;
 a library caller may build them by hand from plain dicts, which
 ``panel_of`` interns once per call. Both must give every view the same
-bits, and the panel paths must equal references that never touch a panel:
-the dict API's ``jsd_with_contributions`` on ``normalize``d tables and the
-trajectory selection written with plain dicts. The panel must also select
-the top-K items by the one ranking rule, survive a pickle round trip as one
-object, and refuse to be mutated.
+bits as ``jsd_with_contributions`` on ``normalize``d tables, and agree
+within 1e-12 with references that never touch a panel (``tests/reference.py``
+and the trajectory selection written with plain dicts). The panel must also
+rank items by the one rule, survive a pickle round trip as one object, and
+refuse to be mutated.
 """
 
+import csv
+import io
+import math
 import pickle
 from collections import Counter
 
@@ -31,16 +34,20 @@ from driftkit.analysis import (
     transition_matrix,
 )
 from driftkit.divergence import Measure, jsd_with_contributions
+from driftkit.events import BinTally
 from driftkit.popularity import (
     CountPanel,
+    aggregate,
     normalize,
     on_panel,
     panel_of,
-    rank_items,
     restrict_top_k,
 )
+from driftkit.tabular import write_distributions
 
+import reference as oracle
 from conftest import dist
+from reference import rank_items
 
 MEASURES = [Measure("jsd"), Measure("jaccard")] + [
     Measure("jsd_alpha", a) for a in (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -121,9 +128,11 @@ def test_shared_rows_and_hand_built_dicts_agree_bit_for_bit(market, data):
         assert hexes(global_drift(shared, base, measure=measure).values()) == hexes(
             global_drift(hand, base, measure=measure).values()
         )
-        assert hexes(drift_matrix(shared, measure=measure).values) == hexes(
-            drift_matrix(hand, measure=measure).values
-        )
+        matrix = drift_matrix(shared, measure=measure).values
+        assert hexes(matrix) == hexes(drift_matrix(hand, measure=measure).values)
+        for i, j in zip(*np.triu_indices(n, 1)):
+            P, Q = normalize(hand[i]), normalize(hand[j])
+            assert abs(matrix[i, j] - oracle.value(measure.kind, P, Q, measure.alpha)) <= 1e-12
         # a selection of the shared rows reads the same panel
         picked = [shared[i] for i in some]
         assert panel_of(picked).ids is panel.ids
@@ -152,6 +161,10 @@ def test_shared_rows_and_hand_built_dicts_agree_bit_for_bit(market, data):
                 == hexes(list(bd_d.partials.values()))
             )
             assert bd_s.total_bits.hex() == bd_h.total_bits.hex() == bd_d.total_bits.hex()
+            partials = oracle.partials("jsd", normalize(hand[i]), normalize(hand[j]))
+            assert list(partials) == list(bd_s.partials)
+            assert all(abs(bd_s.partials[k] - v) <= 1e-12 for k, v in partials.items())
+            assert abs(bd_s.total_bits - math.fsum(partials.values())) <= 1e-12
             assert groups_s == groups_h
             assert hexes(shares_s) == hexes(shares_h)
 
@@ -188,6 +201,22 @@ def test_restrict_top_k_keeps_the_rank_items_set_in_bin_order(market, k):
             ]
             assert after.total == sum(after.counts.values())
             assert (after.bin, after.cohort) == (before.bin, before.cohort)
+
+
+@settings(max_examples=60, deadline=None)
+@given(markets(), st.integers(min_value=1, max_value=300))
+def test_distribution_rows_follow_the_rank_items_reference(tmp_path_factory, market, k):
+    path = tmp_path_factory.getbasetemp() / "distributions.csv"
+    hand, shared = market
+    # tied counts on ids that numpy's string order would misplace
+    hand = hand + [dist({"i\x00": 2, "é": 2, "i": 2, "z": 1}, month=len(hand) + 1)]
+    aggregated, _ = aggregate(BinTally(d.bin, d.cohort, Counter(d.counts), d.total) for d in hand)
+    for dists in (hand, aggregated, restrict_top_k(aggregated, k), shared):
+        write_distributions(path, dists)
+        rows = [[d.bin.label, i, d.counts[i]] for d in dists for i in rank_items(d.counts)]
+        want = io.StringIO()
+        csv.writer(want).writerows([["bin_start", "canonical_id", "count"], *rows])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 
 from driftkit.events import assign_bin
 from driftkit.popularity import PopularityDistribution, aggregate
-from driftkit.events import ingest, read_events
+from driftkit.events import ingest
 from driftkit.estimators import plugin_jsd
 from driftkit.synthmarket import (
     GroundTruth,
@@ -18,6 +18,8 @@ from driftkit.synthmarket import (
     true_jsd,
     zipf_weights,
 )
+
+from reference import read_events
 
 
 def small_spec(**kwargs):
