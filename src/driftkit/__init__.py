@@ -25,8 +25,6 @@ from .divergence import (
     jsd,
     jsd_alpha_normalized,
     jsd_with_contributions,
-    shannon_entropy,
-    tsallis_entropy,
 )
 from .estimators import (
     BootstrapEstimate,

@@ -8,13 +8,14 @@ bin; the series, ``contribution_pairs`` and ``TopGlobalContrib`` read them.
 Every all-items view reads its bins as rows of one count panel
 (``popularity.panel_of``): the producers' shared panel, so no view interns
 the items again. A plug-in view (local or global series, or the all-pairs
-matrix) reads the rows through ``divergence.BinRows``, which caches each
-bin's shares and its own term of the measure; every pair then computes only
-its union term. Bootstrap views estimate each pair from its two count
-tables. The decomposition, ``transition_matrix``'s schedule and the
-trajectory selectors gather the same rows: contributions come from
+matrix) reads the view's bins by position through ``divergence.BinRows``,
+which caches each bin's shares and its own term of the measure; every pair
+then computes only its union term. Bootstrap views estimate each pair from
+its two count tables. The decomposition, ``transition_matrix``'s schedule
+and the trajectory selectors gather the same rows: contributions come from
 ``jsd_with_contributions`` on two panel rows, with no ``normalize``, and
-totals and peaks are bincounts over the rows.
+totals and peaks are bincounts over the rows. Every pair of rows, in every
+view, is aligned by the one ``divergence._aligned``.
 
 Contribution groups band the ranking that ``jsd_with_contributions`` builds
 (descending partial, then descending combined share p + q, then id) into
@@ -100,7 +101,7 @@ def _earlier_first(dists: list[PopularityDistribution], i: int, j: int) -> tuple
 def _plugin_rows(
     dists: list[PopularityDistribution], pairs: list[tuple[int, int]], measure: Measure
 ) -> BinRows:
-    """The view's bins as panel rows, keyed by position.
+    """The view's bins as panel rows, read by position.
 
     Bins are checked in the order the pairs first reach them, earlier bin
     first within a pair, so the empty bin reported is the one a pair-by-pair
@@ -112,7 +113,7 @@ def _plugin_rows(
             if k not in checked:
                 require_loans(dists[k])
                 checked.add(k)
-    return BinRows(measure, dict(enumerate(dists)))
+    return BinRows(measure, dists)
 
 
 def _evaluate(

@@ -279,21 +279,29 @@ def cmd_predict(args, cfg: RunConfig, dists):
     return products, extra
 
 
+# the synth flags: flag, SynthMarketSpec field, type; defaults come from SynthMarketSpec()
+_SYNTH_FLAGS = (
+    ("--catalog-size", "catalog_size", int),
+    ("--zipf-exponent", "zipf_exponent", float),
+    ("--churn", "monthly_churn", float),
+    ("--seasonal-fraction", "seasonal_fraction", float),
+    ("--seasonal-multiplier", "seasonal_multiplier", float),
+    ("--loans-per-bin", "loans_per_bin", int),
+    ("--bins", "n_bins", int),
+    ("--loaners", "n_loaners", int),
+    ("--seed", "seed", int),
+)
+
+
+def _synth_spec(args) -> synthmarket.SynthMarketSpec:
+    """The synthetic market spec of the synth flags."""
+    fields = {name: getattr(args, name) for _, name, _ in _SYNTH_FLAGS}
+    return synthmarket.SynthMarketSpec(start=parse_date(args.start, "start"), **fields)
+
+
 def cmd_synth(args) -> int:
     try:
-        start = parse_date(args.start, "start")
-        spec = synthmarket.SynthMarketSpec(
-            catalog_size=args.catalog_size,
-            zipf_exponent=args.zipf_exponent,
-            monthly_churn=args.churn,
-            seasonal_fraction=args.seasonal_fraction,
-            seasonal_multiplier=args.seasonal_multiplier,
-            loans_per_bin=args.loans_per_bin,
-            n_bins=args.bins,
-            start=start,
-            n_loaners=args.loaners,
-            seed=args.seed,
-        )
+        spec = _synth_spec(args)
         spec.validate()
     except (ValueError, ConfigError) as exc:
         raise UsageError(str(exc)) from exc
@@ -386,16 +394,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic event log with known truth")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--catalog-size", dest="catalog_size", type=int, default=50_000)
-    p.add_argument("--zipf-exponent", dest="zipf_exponent", type=float, default=1.0)
-    p.add_argument("--churn", type=float, default=0.05)
-    p.add_argument("--seasonal-fraction", dest="seasonal_fraction", type=float, default=0.01)
-    p.add_argument("--seasonal-multiplier", dest="seasonal_multiplier", type=float, default=3.0)
-    p.add_argument("--loans-per-bin", dest="loans_per_bin", type=int, default=500_000)
-    p.add_argument("--bins", type=int, default=24)
-    p.add_argument("--start", default="2022-01-01")
-    p.add_argument("--loaners", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = synthmarket.SynthMarketSpec()
+    for flag, name, kind in _SYNTH_FLAGS:
+        p.add_argument(flag, dest=name, type=kind, default=getattr(defaults, name))
+    p.add_argument("--start", default=defaults.start.isoformat())
     p.add_argument("--truth", action="store_true", help="also write the truth sidecar")
     p.set_defaults(func=cmd_synth)
 

@@ -18,18 +18,22 @@ three private steps: a side term of one distribution alone (H(P), the Tsallis
 sum or the support size), a pair term over the union support (the same side
 term of the midpoint, or the shared support size), and their combination.
 
-Every input is two rows of one count panel (``popularity.CountPanel``).
-``divergence_of``, the per-measure functions and ``jsd_with_contributions``
-take them through ``_shares``: two rows of one panel (``CountPanel.shares``)
-are read in place, two plain mappings of item id to probability
-(``popularity.normalize``) become a two-row panel of their own, and
-``_aligned_rows`` aligns the pair over its union. They sum with math.fsum:
+Every input is two rows of one count panel (``popularity.CountPanel``),
+and one private step, ``_aligned``, lays any two rows side by side: row a's
+items, then row b's, with b's shares gathered onto a's items through a
+scratch vector of length n_items. ``divergence_of``, the per-measure
+functions and ``jsd_with_contributions`` take their inputs through
+``_shares``: two rows of one panel (``CountPanel.shares``) go through
+``_aligned``, two plain mappings of item id to probability
+(``popularity.normalize``) are laid out directly (P's ids, then Q's other
+ids), and either pair is cut to its joint support, the items with a
+positive share on some side. ``BinRows`` reads a whole view's bins as rows
+of one panel (``popularity.panel_of``), divides each row once, caches its
+nonzero shares and side term, and aligns each pair with ``_aligned`` too,
+so each pair pays only for its pair term. All of them sum with math.fsum:
 exact summation makes results independent of key order, so symmetry holds
-bit-exactly and pinned outputs stay byte-identical. ``BinRows`` reads a
-whole view's bins as rows of one panel (``popularity.panel_of``), divides
-each row once and caches its side term, so each pair pays only for its
-pair term; it sums with math.fsum too, so its values equal
-``divergence_of``'s bit for bit. Bootstrap resamples go through
+bit-exactly, ``BinRows`` equals ``divergence_of`` bit for bit and pinned
+outputs stay byte-identical. Bootstrap resamples go through
 ``divergence_of_arrays``, which sums with np.sum (its docstring says why).
 
 ``jsd_with_contributions`` ranks the items once, where it computes their
@@ -44,11 +48,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping
 
 import numpy as np
 
-from .popularity import CountPanel, RowShares, panel_of
+from .popularity import CountPanel, PopularityDistribution, RowShares, panel_of
 
 JSD_BITS = "jsd_bits"
 JACCARD = "jaccard"
@@ -117,19 +120,6 @@ def _fsum(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
 
 
-def _entropy_bits(p: np.ndarray, total) -> float:
-    nz = p[p > 0.0]
-    if nz.size == 0:
-        return 0.0
-    return -total(nz * np.log2(nz)) + 0.0
-
-
-def shannon_entropy(dist: Mapping[str, float]) -> float:
-    """H(P) = -sum p_i log2 p_i, in bits."""
-    p = np.fromiter(dist.values(), dtype=np.float64, count=len(dist))
-    return _entropy_bits(p, _fsum)
-
-
 def jsd(P, Q) -> DriftValue:
     """Jensen-Shannon divergence in bits, via the entropy form over the union support."""
     return divergence_of(Measure("jsd"), P, Q)
@@ -145,49 +135,53 @@ def _partial_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum(0.5 * (tp + tq), 0.0)
 
 
-def _aligned_rows(panel: CountPanel, a: int, b: int):
-    """Two rows of one count panel aligned over their union, through their positions.
+def _aligned(ia, p: np.ndarray, ib, q: np.ndarray, scratch: np.ndarray):
+    """The shares of two rows of one panel side by side, over positions ``ia`` then ``ib``.
 
-    Returns the union's positions into ``panel.ids`` (row a's items, then
-    row b's other items) and the two rows' counts over it, as floats.
+    ``ia`` and ``ib`` are the rows' positions into the panel's ids and ``p``
+    and ``q`` their shares. q is gathered onto a's items through
+    ``scratch``, a zero vector of length n_items that is zero again on
+    return. An item in both rows holds 0.0 on both sides in its second
+    slot, where every kernel skips it.
     """
-    ia, ib = panel.index[a], panel.index[b]
-    seen = np.zeros(panel.n_items, dtype=bool)
-    seen[ia] = True
-    union = np.concatenate((ia, ib[~seen[ib]]))
-    ca = np.zeros(union.size, dtype=np.float64)
-    ca[: ia.size] = panel.counts[a]
-    spread = np.zeros(panel.n_items, dtype=np.float64)
-    spread[ib] = panel.counts[b]
-    cb = spread[union]
-    if not (ca.any() and cb.any()):
-        raise ValueError(EMPTY_SUPPORT)
-    return union, ca, cb
+    scratch[ib] = q
+    q_on_a = scratch[ia]
+    scratch[ia] = 0.0
+    q_rest = scratch[ib]  # zero where the item is shared
+    scratch[ib] = 0.0
+    return np.concatenate((p, np.zeros(q.size))), np.concatenate((q_on_a, q_rest))
 
 
 def _shares(P, Q):
-    """The panel, union positions and aligned shares of two distributions.
+    """The panel, positions and aligned shares of two distributions over their joint support.
 
-    Two rows of one panel (``CountPanel.shares``) are read in place. Any
-    other two mappings become a two-row panel with totals 1.0: row 0 holds
-    P's items in P's order, and row 1 spans the union (P's ids, then Q's
-    other ids), zeros included.
+    Two rows of one panel (``CountPanel.shares``) go through ``_aligned``.
+    Any other two mappings are laid out directly, P's ids, then Q's other
+    ids, on a panel that holds only those ids. Either way the items with no
+    positive share on either side are dropped.
     """
     if type(P) is RowShares and type(Q) is RowShares and P.panel is Q.panel:
         panel, a, b = P.panel, P.row, Q.row
+        ia, ib = panel.index[a], panel.index[b]
+        positions = np.concatenate((ia, ib))
+        p, q = _aligned(
+            ia, panel.counts[a] / panel.totals[a], ib, panel.counts[b] / panel.totals[b],
+            np.zeros(panel.n_items),
+        )
     else:
         ids = list(P)
         n_p = len(ids)
         ids.extend(k for k in Q if k not in P)
         n = len(ids)
-        counts = np.concatenate((
-            np.fromiter(P.values(), dtype=np.float64, count=n_p),
-            np.fromiter(map(Q.get, ids, repeat(0.0)), dtype=np.float64, count=n),
-        ))
-        index = np.concatenate((np.arange(n_p), np.arange(n)))
-        panel, a, b = CountPanel(ids, index, counts, [n_p, n], [1.0, 1.0]), 0, 1
-    union, ca, cb = _aligned_rows(panel, a, b)
-    return panel, union, ca / panel.totals[a], cb / panel.totals[b]
+        panel, positions = CountPanel(ids, (), (), (), ()), np.arange(n)
+        p = np.zeros(n)
+        p[:n_p] = np.fromiter(P.values(), dtype=np.float64, count=n_p)
+        q = np.fromiter(map(Q.get, ids, repeat(0.0)), dtype=np.float64, count=n)
+    keep = (p > 0.0) | (q > 0.0)
+    p, q = p[keep], q[keep]
+    if not (p.any() and q.any()):
+        raise ValueError(EMPTY_SUPPORT)
+    return panel, positions[keep], p, q
 
 
 def _ranking(parts: np.ndarray, mass: np.ndarray, panel: CountPanel, union) -> np.ndarray:
@@ -235,24 +229,6 @@ def jsd_with_contributions(P, Q) -> tuple[DriftValue, ContributionBreakdown]:
     return DriftValue(value, JSD_BITS), breakdown
 
 
-def _tsallis_from_array(p: np.ndarray, alpha: float, total) -> float:
-    nz = p[p > 0.0]
-    return (total(nz**alpha) - 1.0) / (1.0 - alpha) + 0.0
-
-
-def tsallis_entropy(dist: Mapping[str, float], alpha: float) -> float:
-    """Order-alpha entropy (sum p_i^alpha - 1) / (1 - alpha), logarithm-free units.
-
-    alpha = 1 is the Shannon limit and must go through shannon_entropy instead.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if alpha == 1:
-        raise ValueError("order 1 is the Shannon limit; use shannon_entropy")
-    p = np.fromiter(dist.values(), dtype=np.float64, count=len(dist))
-    return _tsallis_from_array(p, alpha, _fsum)
-
-
 def jsd_alpha_normalized(P, Q, alpha: float) -> DriftValue:
     """Generalized JSD of order alpha divided by its analytic maximum, in [0, 1].
 
@@ -280,17 +256,19 @@ def _form(measure: Measure) -> str:
 
 
 def _side_term(measure: Measure, p: np.ndarray, total):
-    """The term of one distribution alone: H(P), the Tsallis sum or the support size.
+    """The term of one distribution alone: the support size, H(P) in bits or the Tsallis entropy.
 
-    Over the midpoint M = (P + Q) / 2 it is also the pair term of the two
-    entropy forms.
+    The Tsallis entropy of order alpha is (sum p_i^alpha - 1) / (1 - alpha).
+    Over the midpoint M = (P + Q) / 2 the term is also the pair term of the
+    two entropy forms. Zero shares take no part.
     """
     form = _form(measure)
     if form == "support":
         return int(np.count_nonzero(p > 0.0))
+    nz = p[p > 0.0]
     if form == "shannon":
-        return _entropy_bits(p, total)
-    return _tsallis_from_array(p, measure.alpha, total)
+        return -total(nz * np.log2(nz)) + 0.0
+    return (total(nz**measure.alpha) - 1.0) / (1.0 - measure.alpha) + 0.0
 
 
 def _pair_term(measure: Measure, p: np.ndarray, q: np.ndarray, total):
@@ -353,61 +331,49 @@ def divergence_of_arrays(
 
 
 class BinRows:
-    """One view's count tables as sparse rows of one count panel.
+    """One view's distributions as sparse rows of one count panel.
 
-    The panel comes from ``popularity.panel_of``: the tables' own shared
-    panel when they are its rows, or else one interned once for the view.
-    Every row's probabilities count / total come from one division over
-    the panel's cells; a row's nonzero ones and its side term under
+    The panel comes from ``popularity.panel_of``: the distributions' own
+    shared panel when they are its rows, or else one interned once for the
+    view. Every row's probabilities count / total come from one division
+    over the panel's cells; a row's nonzero ones and its side term under
     ``measure`` are cached on the row's first use, so a pair computes only
-    its pair term, over the union gathered through one reused scratch
-    vector of length n_items. Values equal ``divergence_of`` on the
-    normalized tables bit for bit: the divisions and elementwise terms are
-    the same, and both sum them with math.fsum. Pairs share the scratch
-    vector, so one object must not be used from two threads at once.
+    its pair term, over the rows ``_aligned`` through one reused scratch
+    vector. Values equal ``divergence_of`` on the normalized tables
+    bit for bit: the divisions and elementwise terms are the same, and both
+    sum them with math.fsum. Pairs share the scratch vector, so one object
+    must not be used from two threads at once.
     """
 
-    def __init__(self, measure: Measure, tables: Mapping):
-        """``tables`` maps a caller's key to a ``PopularityDistribution``.
+    def __init__(self, measure: Measure, dists: list[PopularityDistribution]):
+        """Row r is ``dists[r]``; the totals of the rows used must be positive.
 
-        The totals of the rows used must be positive; callers check that
-        where they can name the bin.
+        Callers check the totals where they can name the bin.
         """
         self.measure = measure
-        self._position = {key: r for r, key in enumerate(tables)}
-        self._panel = panel = panel_of(list(tables.values()))
+        self._panel = panel = panel_of(dists)
+        # one division over every cell: dividing row by row gives the same bits, but
+        # in a fresh process it made the matrix 30% slower (33k vs 1k page faults)
         per_cell = np.repeat(np.asarray(panel.totals), np.diff(panel.offsets))
         self._shares = panel.all_counts / per_cell
-        self._rows = {}
+        self._rows = [None] * len(dists)
         self._scratch = np.zeros(panel.n_items, dtype=np.float64)
 
-    def _row(self, key):
-        row = self._rows.get(key)
+    def _row(self, r: int):
+        row = self._rows[r]
         if row is None:
-            r, panel = self._position[key], self._panel
+            panel = self._panel
             p = self._shares[panel.offsets[r] : panel.offsets[r + 1]]
             keep = p > 0.0
-            ids, p = panel.index[r][keep], p[keep]
-            row = self._rows[key] = (ids, p, _side_term(self.measure, p, _fsum))
+            p = p[keep]
+            row = self._rows[r] = (panel.index[r][keep], p, _side_term(self.measure, p, _fsum))
         return row
 
-    def value(self, left, right) -> float:
-        """``measure`` between the rows stored under keys ``left`` and ``right``."""
+    def value(self, left: int, right: int) -> float:
+        """``measure`` between rows ``left`` and ``right``."""
         ia, p, side_p = self._row(left)
         ib, q, side_q = self._row(right)
         if not (p.size and q.size):
             raise ValueError(EMPTY_SUPPORT)
-        # align q to p's support, then append q's own items after p's
-        scratch = self._scratch
-        scratch[ib] = q
-        q_on_p = scratch[ia]
-        scratch[ia] = 0.0
-        q_rest = scratch[ib]  # zero where the item is shared
-        scratch[ib] = 0.0
-        pair = _pair_term(
-            self.measure,
-            np.concatenate((p, np.zeros(q.size))),
-            np.concatenate((q_on_p, q_rest)),
-            _fsum,
-        )
-        return _combine(self.measure, side_p, side_q, pair)
+        p, q = _aligned(ia, p, ib, q, self._scratch)
+        return _combine(self.measure, side_p, side_q, _pair_term(self.measure, p, q, _fsum))

@@ -10,11 +10,12 @@ order and are a pure function of (counts, n_resamples, seed).
 
 No divergence formula lives here. ``plugin_divergence`` goes through
 ``divergence_of`` on the two ``normalize``d tables (exact fsum summation).
-The bootstrap aligns the two count tables once, as rows of their count
-panel (``panel_of``), and takes both its plug-in value (exact fsum, equal to
-``plugin_divergence`` bit for bit) and each resample (np.sum) from
-``divergence_of_arrays``; all run the same kernel in divergence.py, so the
-bias correction subtracts like from like.
+The bootstrap takes the two tables' shares over their joint support once,
+from ``divergence._shares`` on two rows of their count panel
+(``panel_of``), the alignment every measure uses; its plug-in value (exact
+fsum, equal to ``plugin_divergence`` bit for bit) and each resample
+(np.sum) come from ``divergence_of_arrays``. All run the same kernel in
+divergence.py, so the bias correction subtracts like from like.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DriftValue, Measure, _aligned_rows, divergence_of, divergence_of_arrays
+from .divergence import DriftValue, Measure, _shares, divergence_of, divergence_of_arrays
 from .popularity import PopularityDistribution, normalize, panel_of, require_loans
 
 DEFAULT_RESAMPLES = 500
@@ -77,9 +78,8 @@ def bootstrap_divergence(
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
 
-    _, ca, cb = _aligned_rows(panel_of([A, B]), 0, 1)
-    pa = ca / A.total
-    pb = cb / B.total
+    panel = panel_of([A, B])
+    _, _, pa, pb = _shares(panel.shares(0), panel.shares(1))
     plugin = divergence_of_arrays(measure, pa, pb, exact=True)
 
     children = np.random.SeedSequence(seed).spawn(n_resamples)

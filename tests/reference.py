@@ -6,8 +6,9 @@ imports none of ``driftkit.divergence``, ``driftkit.estimators``,
 ``driftkit.analysis`` and ``CountPanel``. ``read_events`` is the per-row
 loan reader and ``matches`` the cohort test of one loan, the oracle of the
 ingest tally; ``rank_items`` ranks a mapping's items by descending score,
-then id; ``partials`` splits JSD, alpha-JSD or the Jaccard distance of two
-plain dicts into per-item shares, and ``value`` sums them.
+then id; ``tsallis`` is the order-alpha entropy of a plain dict;
+``partials`` splits JSD, alpha-JSD or the Jaccard distance of two plain
+dicts into per-item shares, and ``value`` sums them.
 """
 
 from __future__ import annotations
@@ -146,6 +147,11 @@ def check_probabilities(probs: Mapping[str, float], tol: float = 1e-12) -> bool:
     return positive and abs(math.fsum(probs.values()) - 1.0) <= tol
 
 
+def tsallis(D: Mapping[str, float], alpha: float) -> float:
+    """Order-alpha entropy (sum p^alpha - 1) / (1 - alpha) of a plain dict; zeros take no part."""
+    return (math.fsum(x**alpha for x in D.values() if x > 0.0) - 1.0) / (1.0 - alpha)
+
+
 def partials(kind: str, P: Mapping[str, float], Q: Mapping[str, float], alpha=None) -> dict:
     """Each union item's share of measure ``kind`` ('jsd', 'jsd_alpha' or 'jaccard').
 
@@ -173,10 +179,8 @@ def partials(kind: str, P: Mapping[str, float], Q: Mapping[str, float], alpha=No
     def power(x):
         return x**alpha if x > 0.0 else 0.0
 
-    def tsallis(D):
-        return (math.fsum(power(x) for x in D.values()) - 1.0) / (1.0 - alpha)
-
-    maximum = 0.5 * (2.0 ** (1.0 - alpha) - 1.0) * (tsallis(P) + tsallis(Q) + 2.0 / (1.0 - alpha))
+    sides = tsallis(P, alpha) + tsallis(Q, alpha)
+    maximum = 0.5 * (2.0 ** (1.0 - alpha) - 1.0) * (sides + 2.0 / (1.0 - alpha))
     return {
         k: (power((p + q) / 2.0) - (power(p) + power(q)) / 2.0) / (1.0 - alpha) / maximum
         for k, (p, q) in pairs.items()

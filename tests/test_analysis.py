@@ -114,12 +114,13 @@ class TestDriftMatrix:
             counts = {f"i{k}": int(c) + 1 for k, c in enumerate(rng.integers(0, 30, size=size))}
             dists.append(dist(counts, month=month))
         matrix = drift_matrix(dists).values
-        keys = list(range(len(dists)))
-        random.Random(5).shuffle(keys)  # interning order
-        rows = BinRows(Measure("jsd"), {k: dists[k] for k in keys})
+        order = list(range(len(dists)))
+        random.Random(5).shuffle(order)  # interning order
+        rows = BinRows(Measure("jsd"), [dists[k] for k in order])
+        row_of = {k: r for r, k in enumerate(order)}
         cells = [(i, j) for i in range(len(dists)) for j in range(len(dists)) if i != j]
         random.Random(6).shuffle(cells)
-        assert all(rows.value(i, j) == matrix[i, j] for i, j in cells)
+        assert all(rows.value(row_of[i], row_of[j]) == matrix[i, j] for i, j in cells)
 
     def test_bootstrap_consistency_across_views(self, rng):
         dists = []
@@ -185,6 +186,14 @@ class TestContributionGroups:
         assert partials["b"] == partials["c"] > 0.0
         assert partials["k"] == 0.0
         assert breakdown.ranking == ["b", "c", "k"]
+
+    def test_zero_loan_items_take_no_part(self):
+        # k has an entry but no loan in the pair, so it is neither ranked nor grouped
+        breakdown, groups, _ = contribution_groups(
+            dist({"a": 1, "k": 0}), dist({"a": 1, "b": 1}, month=2)
+        )
+        assert breakdown.ranking == ["b", "a"]
+        assert set(breakdown.partials) == set(groups) == {"a", "b"}
 
     @pytest.mark.parametrize(
         "counts, message",
@@ -259,6 +268,15 @@ class TestTransitions:
         # pair 2, so exactly one of the three G1 items falls to G5
         assert matrix[0, 4] == pytest.approx(1 / 3, abs=1e-12)
         assert matrix[0, 0] == pytest.approx(2 / 3, abs=1e-12)
+
+    def test_zero_loan_entries_change_nothing(self):
+        plain = [{"a": 5, "b": 5}, {"a": 5, "c": 5}, {"x": 5, "y": 5}]
+        padded = [{**counts, "k": 0} for counts in plain]
+        matrices = [
+            transition_matrix(build_group_schedule(months(enumerate(tables, start=1))))
+            for tables in (plain, padded)
+        ]
+        assert np.array_equal(*matrices)
 
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError):

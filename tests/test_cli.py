@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from driftkit import tabular
-from driftkit.cli import main
+from driftkit.cli import _synth_spec, build_parser, main
 from driftkit.synthmarket import SynthMarketSpec, generate
 
 FIXTURE = Path(__file__).parent / "fixtures" / "events_1k.csv"
@@ -738,6 +738,10 @@ class TestSynthCommand:
         assert set(config) == {f.name for f in dataclasses.fields(SynthMarketSpec)}
         assert config["start"] == "2021-03-01"
         assert config["seasonal_rank_range"] == list(SynthMarketSpec().seasonal_rank_range)
+
+    def test_synth_defaults_are_the_spec_defaults(self, tmp_path):
+        args = build_parser().parse_args(["synth", "--out", str(tmp_path)])
+        assert _synth_spec(args) == SynthMarketSpec()
 
     def test_synth_invalid_params_usage_error(self, tmp_path):
         assert run("synth", "--out", str(tmp_path), "--churn", "2.0") == 1

@@ -5,30 +5,38 @@ import pytest
 
 from driftkit.divergence import (
     Measure,
+    _fsum,
+    _side_term,
     divergence_of,
     jaccard_distance,
     jsd,
     jsd_alpha_normalized,
     jsd_with_contributions,
-    shannon_entropy,
-    tsallis_entropy,
 )
 
+import reference as oracle
 from conftest import random_rel, random_rel_pair
 
 POINT = {"a": 1.0}
 HALF = {"a": 0.5, "b": 0.5}
 
 
+def side_term(measure: Measure, dist: dict) -> float:
+    """The kernel's term of one distribution alone, summed exactly."""
+    return _side_term(measure, np.array(list(dist.values()), dtype=np.float64), _fsum)
+
+
 class TestShannonEntropy:
+    SHANNON = Measure("jsd")
+
     def test_point_mass(self):
-        assert shannon_entropy(POINT) == 0.0
+        assert side_term(self.SHANNON, POINT) == 0.0
 
     def test_uniform_two(self):
-        assert shannon_entropy(HALF) == 1.0
+        assert side_term(self.SHANNON, HALF) == 1.0
 
     def test_uniform_eight(self):
-        assert shannon_entropy({c: 1 / 8 for c in "abcdefgh"}) == 3.0
+        assert side_term(self.SHANNON, {c: 1 / 8 for c in "abcdefgh"}) == 3.0
 
 
 class TestJsd:
@@ -89,6 +97,12 @@ class TestContributions:
             _, br = jsd_with_contributions(P, Q)
             assert min(br.partials.values()) >= 0.0
 
+    def test_zero_share_items_take_no_part(self):
+        dv, br = jsd_with_contributions({"a": 0.5, "b": 0.5, "k": 0.0}, {"a": 1.0, "z": 0.0})
+        assert br.ranking == ["b", "a"]
+        assert set(br.partials) == {"a", "b"}
+        assert dv.value == jsd({"a": 0.5, "b": 0.5}, {"a": 1.0}).value
+
     def test_ranking_sorted_with_id_ties(self):
         _, br = jsd_with_contributions(
             {"a": 0.25, "b": 0.25, "z": 0.5}, {"c": 0.25, "d": 0.25, "z": 0.5}
@@ -101,21 +115,14 @@ class TestContributions:
 
 class TestTsallis:
     def test_order_two_uniform(self):
-        assert tsallis_entropy(HALF, 2.0) == 0.5
+        assert side_term(Measure("jsd_alpha", 2.0), HALF) == 0.5
 
     def test_order_zero_support(self):
-        assert tsallis_entropy({"a": 0.2, "b": 0.3, "c": 0.5}, 0.0) == 2.0
+        # order 0 runs the support kernel: its side term is the support size
+        assert side_term(Measure("jsd_alpha", 0.0), {"a": 0.2, "b": 0.3, "c": 0.5}) == 3
 
     def test_order_two_point_mass(self):
-        assert tsallis_entropy(POINT, 2.0) == 0.0
-
-    def test_order_one_rejected(self):
-        with pytest.raises(ValueError, match="[Ss]hannon"):
-            tsallis_entropy(HALF, 1.0)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            tsallis_entropy(HALF, -0.5)
+        assert side_term(Measure("jsd_alpha", 2.0), POINT) == 0.0
 
 
 class TestAlphaNormalized:
@@ -166,14 +173,9 @@ class TestAlphaNormalized:
             P, Q = random_rel_pair(rng, max_support=100)
             keys = set(P) | set(Q)
             M = {k: 0.5 * (P.get(k, 0.0) + Q.get(k, 0.0)) for k in keys}
-            num = tsallis_entropy(M, alpha) - 0.5 * (
-                tsallis_entropy(P, alpha) + tsallis_entropy(Q, alpha)
-            )
-            den = (
-                0.5
-                * (2 ** (1 - alpha) - 1)
-                * (tsallis_entropy(P, alpha) + tsallis_entropy(Q, alpha) + 2 / (1 - alpha))
-            )
+            sides = oracle.tsallis(P, alpha) + oracle.tsallis(Q, alpha)
+            num = oracle.tsallis(M, alpha) - 0.5 * sides
+            den = 0.5 * (2 ** (1 - alpha) - 1) * (sides + 2 / (1 - alpha))
             assert jsd_alpha_normalized(P, Q, alpha).value == pytest.approx(
                 num / den, abs=1e-12
             )

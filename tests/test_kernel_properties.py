@@ -14,6 +14,7 @@ view refuses a single bin.
 import ast
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +31,25 @@ from driftkit.analysis import (
     trajectory_panel,
 )
 from driftkit.divergence import (
+    BinRows,
     Measure,
-    _aligned_rows,
+    _shares,
     divergence_of,
     divergence_of_arrays,
     jsd,
     jsd_alpha_normalized,
     jsd_with_contributions,
 )
-from driftkit.popularity import PopularityDistribution, normalize, panel_of
+from driftkit.events import BinTally
+from driftkit.popularity import (
+    CountPanel,
+    PopularityDistribution,
+    aggregate,
+    normalize,
+    on_panel,
+    panel_of,
+    restrict_top_k,
+)
 
 import reference as oracle
 from conftest import dist
@@ -70,15 +81,16 @@ def test_one_kernel_per_measure(counts_a, counts_b, seed):
     P_shuffled, Q_shuffled = normalize(dist(shuffled(counts_a, seed))), normalize(
         dist(shuffled(counts_b, seed + 1))
     )
-    _, ca, cb = _aligned_rows(panel_of([A, B]), 0, 1)
+    panel = panel_of([A, B])
+    _, _, p, q = _shares(panel.shares(0), panel.shares(1))
     for measure in MEASURES:
         value = divergence_of(measure, P, Q).value
         assert divergence_of(measure, Q, P).value == value
         assert divergence_of(measure, Q_shuffled, P_shuffled).value == value
         assert 0.0 <= value <= 1.0
 
-        assert divergence_of_arrays(measure, ca / A.total, cb / B.total, exact=True) == value
-        resample = divergence_of_arrays(measure, ca / A.total, cb / B.total)
+        assert divergence_of_arrays(measure, p, q, exact=True) == value
+        resample = divergence_of_arrays(measure, p, q)
         if measure in EXACT:
             assert resample == value
         else:
@@ -199,6 +211,65 @@ def test_plugin_views_equal_the_dict_api(dists, data):
         assert np.array_equal(matrix, matrix.T)
         assert not np.diagonal(matrix).any()
         assert all(matrix[i, j] == reference(i, j) for i in range(n) for j in range(i + 1, n))
+
+
+@st.composite
+def row_sources(draw):
+    """2-4 tables whose entries may be zero, each with a loan, read four ways.
+
+    As hand-built tables, as rows of one interned panel (zeros kept), as
+    ``aggregate``'s rows and as ``restrict_top_k``'s rows of those.
+    """
+    loans = st.integers(min_value=0, max_value=6)
+    tables = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(ITEMS[:24]), loans, min_size=1).filter(
+                lambda table: any(table.values())
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    hand = [dist(table, month=t + 1) for t, table in enumerate(tables)]
+    panel = CountPanel.intern(tables, [d.total for d in hand])
+    shared = on_panel(panel, [(d.bin, d.cohort) for d in hand])
+    aggregated, _ = aggregate(BinTally(d.bin, d.cohort, Counter(d.counts), d.total) for d in hand)
+    top = restrict_top_k(aggregated, draw(st.integers(min_value=1, max_value=24)))
+    return [hand, shared, aggregated, [d for d in top if d.total > 0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_sources(), st.data())
+def test_one_alignment_of_two_rows(sources, data):
+    """Every pair meets in ``_aligned``: the reference union, shares, and a clean scratch.
+
+    The union holds the items with a loan in the pair: P's, in P's order
+    (an item P lists with no loans keeps its place when Q has loans), then
+    Q's others. ``_shares`` gives it for two panel rows and for two
+    normalized mappings, and ``BinRows`` gives ``divergence_of``'s value
+    bit for bit.
+    """
+    for dists in sources:
+        if len(dists) < 2:
+            continue
+        panel = panel_of(dists)
+        views = [BinRows(measure, dists) for measure in MEASURES]
+        for _ in range(3):
+            i = data.draw(st.integers(0, len(dists) - 1), label="left")
+            j = data.draw(st.integers(0, len(dists) - 1), label="right")
+            A, B = dists[i], dists[j]
+            union = [k for k, c in A.counts.items() if c > 0 or B.counts.get(k, 0) > 0]
+            union += [k for k, c in B.counts.items() if c > 0 and k not in A.counts]
+            p = [A.counts.get(k, 0) / A.total for k in union]
+            q = [B.counts.get(k, 0) / B.total for k in union]
+            for pair in ((panel.shares(i), panel.shares(j)), (normalize(A), normalize(B))):
+                aligned, positions, pa, qa = _shares(*pair)
+                assert aligned.ids[positions].tolist() == union
+                assert (pa.tolist(), qa.tolist()) == (p, q)
+            for measure, rows in zip(MEASURES, views):
+                value = divergence_of(measure, normalize(A), normalize(B)).value
+                assert rows.value(i, j) == value
+                assert not rows._scratch.any()
 
 
 def _pair_loop_error(dists, pairs):
