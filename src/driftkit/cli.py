@@ -45,14 +45,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least_one(text: str) -> int:
+def _at_least(minimum: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = minimum - 1
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
     return value
+
+
+_at_least_one = partial(_at_least, 1)
+_at_least_zero = partial(_at_least, 0)
 
 
 def _add_common(parser: argparse.ArgumentParser, all_items: bool = False):
@@ -340,8 +344,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("canon", help="merge title variants into canonical items")
     p.add_argument("--items", required=True, help="CSV with item_key,title,creator")
     p.add_argument("--out", required=True, help="mapping CSV to write")
-    p.add_argument("--window", type=int, default=canon.DEFAULT_WINDOW)
-    p.add_argument("--max-edit", dest="max_edit", type=int, default=canon.DEFAULT_MAX_EDIT)
+    p.add_argument("--window", type=_at_least_one, default=canon.DEFAULT_WINDOW)
+    p.add_argument("--max-edit", dest="max_edit", type=_at_least_zero, default=canon.DEFAULT_MAX_EDIT)
     p.set_defaults(func=cmd_canon)
 
     p = sub.add_parser("drift", help="local/global drift series or full pair matrix")

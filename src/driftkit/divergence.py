@@ -236,7 +236,8 @@ def jsd_alpha_normalized(P, Q, alpha: float) -> DriftValue:
     ones. Order 1 is handled by its limit (the maximum tends to ln 2, so the
     value equals the standard JSD in bits) and order 0 by its closed form,
     one minus the Dice overlap of the supports. An alpha outside [0, 2]
-    warns, because the square root of the result is not a metric there.
+    warns, because the square root of the result is not a metric there, and
+    one that drives sum p^alpha + sum q^alpha below 2e-8 raises ValueError.
     """
     return divergence_of(Measure("jsd_alpha", alpha), P, Q)
 
@@ -288,6 +289,9 @@ def _combine(measure: Measure, side_p, side_q, pair) -> float:
             return 1.0 - pair / (sizes - pair)
         return 1.0 - 2.0 * pair / sizes
     value = pair - 0.5 * (side_p + side_q)
+    # (1 - alpha)(side_p + side_q) + 2 is sum p^alpha + sum q^alpha; below 2e-8 it is noise
+    if form == "tsallis" and (1.0 - measure.alpha) * (side_p + side_q) + 2.0 < 2e-8:
+        raise ValueError(f"alpha={measure.alpha!r}: the power sums have no precision left")
     if value <= 0.0:
         return 0.0
     if form == "shannon":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date, timedelta
 from enum import Enum
 from operator import itemgetter
@@ -258,16 +258,7 @@ class IngestReport:
     malformed_examples: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "rows": self.rows,
-            "accepted": self.accepted,
-            "out_of_window": self.out_of_window,
-            "excluded": self.excluded,
-            "malformed": self.malformed,
-            "flagged_enum_values": self.flagged_enum_values,
-            "malformed_examples": list(self.malformed_examples),
-        }
+        return asdict(self)
 
 
 _MAX_EXAMPLES = 10

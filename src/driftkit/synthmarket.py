@@ -13,6 +13,10 @@ of the eligible ranks, so the total churned weight is nearly identical every
 month and the true local drift is flat. Second, a small head of top ranks and
 the seasonal ranks are exempt from churn; otherwise the occasional replacement
 of a top item would swamp the series with single-rank noise.
+
+`generate` writes every log row from one template: the loan day, the item's
+four fields (key, title, creator, category), the medium and the loaner's five
+fields, under the header `events.DEFAULT_SCHEMA` declares.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .divergence import jsd
-from .events import TimeBin, assign_bin, find_bin
+from .events import DEFAULT_SCHEMA, TimeBin, assign_bin, bin_from_index, find_bin
 from .popularity import CountPanel, PopularityDistribution, on_panel
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -98,14 +103,14 @@ class SynthMarketSpec:
     def validate(self):
         if self.catalog_size < 1:
             raise ValueError("catalog_size must be >= 1")
-        if self.zipf_exponent < 0:
-            raise ValueError("zipf_exponent must be >= 0")
+        if not 0.0 <= self.zipf_exponent < math.inf:
+            raise ValueError("zipf_exponent must be finite and >= 0")
         if not 0.0 <= self.monthly_churn <= 1.0:
             raise ValueError("monthly_churn must lie in [0, 1]")
         if not 0.0 <= self.seasonal_fraction <= 1.0:
             raise ValueError("seasonal_fraction must lie in [0, 1]")
-        if self.seasonal_multiplier <= 0:
-            raise ValueError("seasonal_multiplier must be > 0")
+        if not 0.0 < self.seasonal_multiplier < math.inf:
+            raise ValueError("seasonal_multiplier must be finite and > 0")
         if self.loans_per_bin < 1 or self.n_bins < 1 or self.n_loaners < 1:
             raise ValueError("loans_per_bin, n_bins and n_loaners must be >= 1")
         if self.start.day != 1:
@@ -214,12 +219,8 @@ def _build_truth(spec: SynthMarketSpec):
     sizes = np.array([len(s) for s in strata], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(sizes)))[:-1] if n_churn else None
 
-    bins: list[TimeBin] = []
-    cursor = spec.start
-    for _ in range(spec.n_bins):
-        b = assign_bin(cursor, "month")
-        bins.append(b)
-        cursor = b.end
+    first = assign_bin(spec.start, "month").index
+    bins = [bin_from_index(first + t, "month") for t in range(spec.n_bins)]
 
     churn_children = churn_ss.spawn(spec.n_bins)
     occupants = [np.arange(k, dtype=np.int64)]
@@ -280,7 +281,8 @@ def _weighted_codes(rng, weights: tuple[tuple[str, float], ...], size: int) -> n
     return np.searchsorted(cum, rng.random(size), side="right")
 
 
-def _loaner_pool(spec: SynthMarketSpec, rng) -> dict[str, list[str]]:
+def _loaner_pool(spec: SynthMarketSpec, rng) -> list[tuple[str, str, str, str, str]]:
+    """One (loaner_id, birthdate, sex, education, residence) tuple per loaner."""
     mix = spec.cohort_mix
     n = spec.n_loaners
     band_idx = _weighted_codes(rng, tuple((str(b), w) for b, w in mix.age_bands), n)
@@ -296,13 +298,8 @@ def _loaner_pool(spec: SynthMarketSpec, rng) -> dict[str, list[str]]:
         values = [v for v, _ in weights]
         return [values[c] for c in codes]
 
-    return {
-        "loaner_id": [f"L{i:06d}" for i in range(n)],
-        "birthdate": birth,
-        "sex": pick(mix.sex),
-        "education": pick(mix.education),
-        "residence": pick(mix.residence),
-    }
+    ids = [f"L{i:06d}" for i in range(n)]
+    return list(zip(ids, birth, pick(mix.sex), pick(mix.education), pick(mix.residence)))
 
 
 @dataclass
@@ -320,6 +317,8 @@ def generate(
 ) -> GenerateResult:
     """Write a synthetic event log (and optional truth sidecar) to disk.
 
+    Every row is one template, ``(day, *item_fields(item), medium, *loaner)``,
+    streamed to the writer under the header of `events.DEFAULT_SCHEMA`.
     Event tallies per bin equal the sampled multinomial counts exactly, so
     aggregating the file reproduces the distributions returned here.
     """
@@ -334,34 +333,15 @@ def generate(
     ]
     medium_values = [m for m, _ in spec.medium_weights]
 
-    id_cache: dict[int, tuple[str, str, str]] = {}
-
-    def item_fields(idx: int) -> tuple[str, str, str]:
-        got = id_cache.get(idx)
-        if got is None:
-            got = (item_id(idx), item_title(idx), item_creator(idx))
-            id_cache[idx] = got
-        return got
+    @cache
+    def item_fields(idx: int) -> tuple[str, str, str, str]:
+        return (item_id(idx), item_title(idx), item_creator(idx), item_category[idx])
 
     events_path = Path(events_path)
     dists, draws = _sampled_bins(spec, truth, bins_ss)
     with open(events_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "loan_date",
-                "item_key",
-                "title",
-                "creator",
-                "category",
-                "medium",
-                "loaner_id",
-                "birthdate",
-                "sex",
-                "education",
-                "residence",
-            ]
-        )
+        writer.writerow(DEFAULT_SCHEMA.values())
         for b, (drawn, drawn_counts, events_ss) in zip(truth.bins, draws):
             ev_rng = np.random.default_rng(events_ss)
             n = spec.loans_per_bin
@@ -376,32 +356,12 @@ def generate(
             media = _weighted_codes(ev_rng, spec.medium_weights, n)[order]
 
             day_str = [(b.start + timedelta(days=d)).isoformat() for d in range(n_days)]
-            l_id = pool["loaner_id"]
-            l_birth = pool["birthdate"]
-            l_sex = pool["sex"]
-            l_edu = pool["education"]
-            l_res = pool["residence"]
-            rows = []
-            for item_idx, day, who, med in zip(
-                items.tolist(), days.tolist(), loaners.tolist(), media.tolist()
-            ):
-                key, title, creator = item_fields(item_idx)
-                rows.append(
-                    (
-                        day_str[day],
-                        key,
-                        title,
-                        creator,
-                        item_category[item_idx],
-                        medium_values[med],
-                        l_id[who],
-                        l_birth[who],
-                        l_sex[who],
-                        l_edu[who],
-                        l_res[who],
-                    )
+            writer.writerows(
+                (day_str[day], *item_fields(idx), medium_values[med], *pool[who])
+                for idx, day, who, med in zip(
+                    items.tolist(), days.tolist(), loaners.tolist(), media.tolist()
                 )
-            writer.writerows(rows)
+            )
 
     truth_file = None
     if truth_path is not None:

@@ -424,6 +424,14 @@ class TestExitCodes:
         assert f"alpha must be a finite number >= 0, got {float(alpha):g}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_alpha_without_precision_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ("--measure", "jsd_alpha", "--alpha=1e308", "--output-dir", str(out))
+        with pytest.warns(UserWarning, match="alpha"):
+            assert run("drift", "local", "--input", str(FIXTURE), *argv) == 2
+        assert "alpha=1e+308: the power sums have no precision left" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", [("ingest-check",), ("drift", "local")])
     def test_undecodable_byte_names_file_and_row(self, tmp_path, capsys, subcommand):
         lines = FIXTURE.read_bytes().splitlines(keepends=True)[:301]
@@ -621,6 +629,24 @@ class TestIngestCheckAndCanon:
         assert mapping == {"k1": "k1", "k2": "k1", "k3": "k3"}
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--window", "0"), "--window: expected an integer >= 1, got '0'"),
+            (("--window", "-3"), "--window: expected an integer >= 1, got '-3'"),
+            (("--max-edit", "-1"), "--max-edit: expected an integer >= 0, got '-1'"),
+        ],
+        ids=["window-0", "window-negative", "max-edit-negative"],
+    )
+    def test_canon_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        # at these values variant merging would be off: 2 canonical items, not 1
+        items = tmp_path / "items.csv"
+        items.write_text("item_key,title,creator\nk1,pixel ninja,A\nk2,pixel ninja,A\nk3,pixel ninjaz,A\n")
+        out = tmp_path / "mapping.csv"
+        assert run("canon", "--items", str(items), "--out", str(out), *flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "table",
         [
             "item_key,title,creator\nk1,Pixel Ninja\nk2,Ninja,A. Writer\n",
@@ -745,3 +771,21 @@ class TestSynthCommand:
 
     def test_synth_invalid_params_usage_error(self, tmp_path):
         assert run("synth", "--out", str(tmp_path), "--churn", "2.0") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, bins",
+        [
+            ("--zipf-exponent", "nan", "12"),
+            ("--zipf-exponent", "inf", "12"),
+            ("--seasonal-multiplier", "nan", "12"),
+            ("--seasonal-multiplier", "inf", "12"),
+            ("--seasonal-multiplier", "inf", "2"),
+        ],
+    )
+    def test_synth_non_finite_number_is_usage_error(self, tmp_path, capsys, flag, value, bins):
+        out = tmp_path / "market"
+        small = ("--catalog-size", "200", "--loans-per-bin", "100", "--loaners", "10")
+        assert run("synth", "--out", str(out), *small, "--bins", bins, flag, value) == 1
+        field = "zipf_exponent" if flag == "--zipf-exponent" else "seasonal_multiplier"
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()

@@ -166,6 +166,23 @@ class TestAlphaNormalized:
             v = jsd_alpha_normalized(POINT, HALF, 2.5)
         assert 0.0 <= v.value <= 1.0
 
+    def test_power_sums_without_precision_are_refused(self):
+        # the power sums of this pair fall below 2e-8 between alpha 8 and 10;
+        # at 20 the side terms cancel to nothing and the value read 0.0
+        rng = np.random.default_rng(0)
+        p, q = rng.dirichlet(np.ones(50)), rng.dirichlet(np.ones(50))
+        P = {f"i{k}": v for k, v in enumerate(p.tolist())}
+        Q = {f"i{k}": v for k, v in enumerate(q.tolist())}
+        m = 0.5 * (p + q)
+        with pytest.warns(UserWarning, match="alpha"):
+            for alpha in (10.0, 20.0):
+                with pytest.raises(ValueError, match=f"alpha={alpha!r}: the power sums"):
+                    jsd_alpha_normalized(P, Q, alpha)
+            # cancellation-free form (2 S_m / (S_p + S_q) - 1) / (2^(1 - alpha) - 1)
+            s_p, s_q, s_m = ((x**8.0).sum() for x in (p, q, m))
+            stable = (2.0 * s_m / (s_p + s_q) - 1.0) / (2.0**-7.0 - 1.0)
+            assert jsd_alpha_normalized(P, Q, 8.0).value == pytest.approx(stable, abs=1e-8)
+
     def test_matches_raw_tsallis_formulas(self, rng):
         # independent route: plug the raw order-alpha entropies into the
         # normalization instead of calling the fused implementation

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from datetime import date
 
@@ -9,6 +10,7 @@ from driftkit.popularity import PopularityDistribution, aggregate
 from driftkit.events import ingest
 from driftkit.estimators import plugin_jsd
 from driftkit.synthmarket import (
+    CohortMix,
     GroundTruth,
     SynthMarketSpec,
     generate,
@@ -117,6 +119,12 @@ class TestTruth:
             small_spec(seasonal_fraction=0.9, seasonal_rank_range=(11, 20)).validate()
         with pytest.raises(ValueError, match="first day"):
             small_spec(start=date(2022, 1, 5)).validate()
+        for bad in (math.nan, math.inf, -math.inf, -1.0):
+            with pytest.raises(ValueError, match="zipf_exponent must be finite and >= 0"):
+                small_spec(zipf_exponent=bad).validate()
+        for bad in (math.nan, math.inf, 0.0, -2.0):
+            with pytest.raises(ValueError, match="seasonal_multiplier must be finite and > 0"):
+                small_spec(seasonal_multiplier=bad).validate()
 
 
 class TestSampling:
@@ -212,3 +220,72 @@ class TestGenerate:
         rows = [(item_id(i), item_title(i), f"w{item_title(i)}") for i in range(400)]
         catalog = canonicalize(rows)
         assert catalog.n_canonical == 400
+
+
+# Two small markets whose generated bytes are pinned: one crossing the
+# seasonal months with churn, one with a non-default loaner mix.
+PINNED_SPECS = {
+    "seasonal_churn": SynthMarketSpec(
+        catalog_size=300,
+        monthly_churn=0.05,
+        seasonal_fraction=0.02,
+        seasonal_rank_range=(11, 100),
+        stable_head_ranks=10,
+        loans_per_bin=400,
+        n_bins=4,
+        start=date(2022, 10, 1),
+        n_loaners=60,
+        seed=13,
+    ),
+    "cohort_mix": SynthMarketSpec(
+        catalog_size=150,
+        monthly_churn=0.0,
+        seasonal_fraction=0.0,
+        loans_per_bin=300,
+        n_bins=2,
+        n_loaners=40,
+        seed=5,
+        cohort_mix=CohortMix(
+            sex=(("male", 0.7), ("female", 0.3)),
+            age_bands=(((20, 40), 0.5), ((40, 80), 0.5)),
+            education=(("higher", 0.9), ("basic", 0.1)),
+            residence=(("town_rural", 1.0),),
+        ),
+    ),
+}
+
+# sha256 of events.csv, of truth.csv and of the sample_counts tables
+PINNED_DIGESTS = {
+    "seasonal_churn": (
+        "736f422fb34d711745bf6009b91ded37ae619da8384ccf3592953805d51ecf20",
+        "6dc9323524100e375d143d0fc11380cde81e90711d6ee64c8d2e85f1b971b92d",
+        "35ee00f0c66a0b40f25ff0eece6b21b16e8143b16b8ff54202cd6a87314d7b1c",
+    ),
+    "cohort_mix": (
+        "dd2a35c6c2f6a954da2d7e8fb788ae0e7f46b2bab571a143fd3acc0287ef187b",
+        "019f72ea27f8cd9e2822a4e00f57bbab9d378551fb42466f6fc04b7236ceb59c",
+        "b0fd4d217641b88a746c33aeb1b89fe7abbe570705c02cd02ec75e4c8c9c2422",
+    ),
+}
+
+
+def _tables_digest(dists):
+    h = hashlib.sha256()
+    for d in dists:
+        h.update(f"{d.bin.label},{d.cohort},{d.total}\n".encode())
+        for key, count in sorted(d.counts.items()):
+            h.update(f"{key},{count}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+def test_generated_bytes_are_pinned(tmp_path, name):
+    spec = PINNED_SPECS[name]
+    res = generate(spec, tmp_path / "events.csv", tmp_path / "truth.csv")
+    got = (
+        hashlib.sha256((tmp_path / "events.csv").read_bytes()).hexdigest(),
+        hashlib.sha256((tmp_path / "truth.csv").read_bytes()).hexdigest(),
+        _tables_digest(sample_counts(spec)[0]),
+    )
+    assert got == PINNED_DIGESTS[name]
+    assert _tables_digest(res.distributions) == PINNED_DIGESTS[name][2]
