@@ -11,11 +11,17 @@ the items again. A plug-in view (local or global series, or the all-pairs
 matrix) reads the view's bins by position through ``divergence.BinRows``,
 which caches each bin's shares and its own term of the measure; every pair
 then computes only its union term. Bootstrap views estimate each pair from
-its two count tables. The decomposition, ``transition_matrix``'s schedule
-and the trajectory selectors gather the same rows: contributions come from
-``jsd_with_contributions`` on two panel rows, with no ``normalize``, and
-totals and peaks are bincounts over the rows. Every pair of rows, in every
-view, is aligned by the one ``divergence._aligned``.
+its two count tables. Every pair of rows, in every view, is aligned by the
+one ``divergence._aligned``.
+
+The decomposition stays on panel positions. ``jsd_with_contributions`` on
+two panel rows gives the pair's union positions, partials and ranking
+order as arrays; a pair's groups are a ``popularity.PositionMap`` of its
+ranked positions to their groups (each band a contiguous slice of the
+order); ``transition_matrix`` tallies each consecutive pair with one
+bincount, and ``TopGlobalContrib`` keeps the first k ranked positions.
+Item ids are read only where a caller asks for them. The other selectors'
+totals and peaks are bincounts over the rows.
 
 Contribution groups band the ranking that ``jsd_with_contributions`` builds
 (descending partial, then descending combined share p + q, then id) into
@@ -47,6 +53,7 @@ from .events import TimeBin, bin_from_index, find_bin
 from .popularity import (  # noqa: F401
     CountPanel,
     PopularityDistribution,
+    PositionMap,
     normalize,
     panel_of,
     require_loans,
@@ -221,24 +228,23 @@ def drift_matrix(
 
 def _contributions(
     dists: list[PopularityDistribution], panel: CountPanel, i: int, j: int
-) -> tuple[ContributionBreakdown, dict[str, int], list[float]]:
+) -> tuple[ContributionBreakdown, PositionMap, list[float]]:
     """``contribution_groups`` of bins i and j, read from their panel rows."""
     require_loans(dists[i])
     require_loans(dists[j])
     _, breakdown = jsd_with_contributions(panel.shares(i), panel.shares(j))
-    groups, sums = {}, []
-    for g, (lo, hi) in enumerate(zip(_BAND_EDGES, _BAND_EDGES[1:]), start=1):
-        band = breakdown.ranking[lo:hi]
-        groups.update(dict.fromkeys(band, g))
-        sums.append(math.fsum(map(breakdown.partials.__getitem__, band)))
+    ranked = breakdown.parts[breakdown.order]
+    bands = [ranked[lo:hi] for lo, hi in zip(_BAND_EDGES, _BAND_EDGES[1:])]
+    codes = np.repeat(np.arange(1, N_GROUPS + 1, dtype=np.int8), [len(b) for b in bands])
+    groups = PositionMap(breakdown.ids, breakdown.union[breakdown.order], codes)
     total = breakdown.total_bits
-    shares = [s / total for s in sums] if total > 0.0 else [0.0] * N_GROUPS
+    shares = [math.fsum(b.tolist()) / total for b in bands] if total > 0.0 else [0.0] * N_GROUPS
     return breakdown, groups, shares
 
 
 def contribution_groups(
     A: PopularityDistribution, B: PopularityDistribution
-) -> tuple[ContributionBreakdown, dict[str, int], list[float]]:
+) -> tuple[ContributionBreakdown, PositionMap, list[float]]:
     """Rank items by their partial JSD for one bin pair and band them into groups.
 
     Only items with at least one loan in the pair take part, in the order of
@@ -253,7 +259,7 @@ def contribution_pairs(
     dists: list[PopularityDistribution],
     kind: str = "local",
     baseline: TimeBin | date | str | None = None,
-) -> Iterator[tuple[TimeBin, ContributionBreakdown, dict[str, int], list[float]]]:
+) -> Iterator[tuple[TimeBin, ContributionBreakdown, PositionMap, list[float]]]:
     """``(right bin, *contribution_groups)`` for each pair of one view, lazily.
 
     ``kind`` is "local" or "global" (``baseline`` as in ``global_drift``), and
@@ -267,25 +273,38 @@ def contribution_pairs(
         yield (dists[j].bin, *_contributions(dists, panel, i, j))
 
 
-def build_group_schedule(dists: list[PopularityDistribution]) -> list[tuple[str, dict[str, int]]]:
+def build_group_schedule(dists: list[PopularityDistribution]) -> list[tuple[str, PositionMap]]:
     """Contribution-group assignment for every local pair, keyed by its right bin."""
     return [(right.label, groups) for right, _, groups, _ in contribution_pairs(dists)]
 
 
-def transition_matrix(schedule: list[tuple[str, dict[str, int]]]) -> np.ndarray:
+def transition_matrix(schedule: list[tuple[str, PositionMap]]) -> np.ndarray:
     """Average group-to-group transition probabilities across consecutive pairs.
 
-    An item ranked in one pair but missing from the next pair's ranking
-    counts as landing in the last group. A group with no occupants across
-    all transitions keeps itself (identity row), so the matrix is always
-    row-stochastic.
+    ``schedule`` is what ``build_group_schedule`` returns, whose group maps
+    share one panel, so each pair's moves are one bincount over panel
+    positions. An item ranked in one pair but missing from the next pair's
+    ranking counts as landing in the last group. A group with no occupants
+    across all transitions keeps itself (identity row), so the matrix is
+    always row-stochastic.
     """
     if len(schedule) < 2:
         raise ValueError("transition matrix needs at least two consecutive pairs")
+    maps = [groups for _, groups in schedule]
+    for groups in maps:
+        if type(groups) is not PositionMap:
+            kind = type(groups).__name__
+            raise ValueError(f"transition matrix reads build_group_schedule's maps, not a {kind}")
+        if groups.ids is not maps[0].ids:
+            raise ValueError("transition matrix needs the group maps of one panel")
     sums = np.zeros((N_GROUPS, N_GROUPS), dtype=np.float64)
     rows_seen = np.zeros(N_GROUPS, dtype=np.int64)
-    for (_, prev), (_, nxt) in zip(schedule, schedule[1:]):
-        moves = [(g - 1) * N_GROUPS + nxt.get(item, N_GROUPS) - 1 for item, g in prev.items()]
+    # each item's group in the next pair, the last group where it has none
+    landing = np.full(len(maps[0].ids), N_GROUPS, dtype=np.intp)
+    for prev, nxt in zip(maps, maps[1:]):
+        landing[nxt.positions] = nxt.data
+        moves = (prev.data - 1) * N_GROUPS + landing[prev.positions] - 1
+        landing[nxt.positions] = N_GROUPS
         counts = np.bincount(moves, minlength=N_GROUPS**2).reshape(N_GROUPS, N_GROUPS)
         row_totals = counts.sum(axis=1)
         occupied = row_totals > 0
@@ -357,8 +376,7 @@ def trajectory_panel(
         require_loans(dists[b])
         require_loans(dists[t])
         _, breakdown = jsd_with_contributions(panel.shares(b), panel.shares(t))
-        position = dict(zip(panel.ids.tolist(), range(panel.n_items)))
-        selected = np.array([position[i] for i in breakdown.ranking[: selector.k]], dtype=np.intp)
+        selected = breakdown.union[breakdown.order[: selector.k]]
     elif isinstance(selector, TopTotal):
         positions, loans = panel.all_index, panel.all_counts
         present = np.bincount(positions, minlength=panel.n_items) > 0

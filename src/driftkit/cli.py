@@ -10,9 +10,12 @@ frame (`_run`): check the view flags (`--baseline`, `--at`; an empty one
 is unset, and the chosen view must read each one given and get each one
 it requires), build the config, load the distributions (ingest, then
 `aggregate` through the catalog), run the analysis, and only then create
-the output directory, write the products and the manifest, so a failed
-analysis leaves no output directory. Views are planned in `analysis` alone
-(default baseline, two-bin minimum); the subcommands pass the flags through.
+the output directory, so a failed analysis leaves no output directory. The
+products, then the manifest, are written to temporary names there and
+renamed into place only after every writer has returned, so a failed
+writer leaves the previous run's files as they were and no temporary file.
+Views are planned in `analysis` alone (default baseline, two-bin minimum);
+the subcommands pass the flags through.
 The estimator's seed is the one root seed, so identical inputs and flags
 give byte-identical outputs.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -162,14 +166,25 @@ def _run(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output dir {out}: {exc}") from exc
-    names = []
-    for files, write in products:
-        write(*(out / name for name in files))
-        names.extend(files)
+    names = [name for files, _ in products for name in files]
     config_dict = cfg.as_dict()
     config_dict["run"] = {**extra, **reports}
     subcommand = " ".join(filter(None, (args.subcommand, getattr(args, "mode", None))))
-    tabular.write_manifest(out / "manifest.json", subcommand, config_dict, names)
+    products.append(
+        (("manifest.json",), lambda p: tabular.write_manifest(p, subcommand, config_dict, names))
+    )
+    staged = []  # (temporary path, final path), the manifest last
+    try:
+        for files, write in products:
+            paths = [(out / f".{name}.{os.getpid()}.tmp", out / name) for name in files]
+            staged.extend(paths)
+            write(*(tmp for tmp, _ in paths))
+        for tmp, final in staged:
+            os.replace(tmp, final)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
     return 0
 
 

@@ -121,36 +121,51 @@ class CountPanel:
         return where[order if k is None else order[:k]]
 
 
-class RowCounts(Mapping):
-    """One panel row as a read-only mapping of item id to count, in the row's item order."""
+class PositionMap(Mapping):
+    """A read-only mapping of ``ids[positions[k]]`` to ``data[k]``, in that order.
 
-    __slots__ = ("panel", "row", "_table")
+    ``ids`` are a panel's ids and ``positions`` and ``data`` arrays of one
+    length. Iterating reads the arrays; the dict behind a lookup by id is
+    built on the first lookup.
+    """
 
-    def __init__(self, panel: CountPanel, row: int):
-        self.panel, self.row, self._table = panel, row, None
+    __slots__ = ("ids", "positions", "data", "_table")
+
+    def __init__(self, ids: np.ndarray, positions: np.ndarray, data: np.ndarray):
+        self.ids, self.positions, self.data, self._table = ids, positions, data, None
 
     def __reduce__(self):
-        return type(self), (self.panel, self.row)
-
-    def _values(self) -> np.ndarray:
-        return self.panel.counts[self.row]
+        return PositionMap, (self.ids, self.positions, self.data)
 
     def __iter__(self):
-        return iter(self.panel.ids[self.panel.index[self.row]].tolist())
+        return iter(self.ids[self.positions].tolist())
 
     def __len__(self) -> int:
-        return len(self.panel.index[self.row])
+        return len(self.positions)
 
     def __getitem__(self, key):
-        if self._table is None:  # built on the first lookup by id
+        if self._table is None:
             self._table = dict(self.items())
         return self._table[key]
 
     def values(self) -> list:
-        return self._values().tolist()
+        return self.data.tolist()
 
     def items(self) -> list:
         return list(zip(self, self.values()))
+
+
+class RowCounts(PositionMap):
+    """One panel row as a read-only mapping of item id to count, in the row's item order."""
+
+    __slots__ = ("panel", "row")
+
+    def __init__(self, panel: CountPanel, row: int):
+        super().__init__(panel.ids, panel.index[row], panel.counts[row])
+        self.panel, self.row = panel, row
+
+    def __reduce__(self):
+        return type(self), (self.panel, self.row)
 
 
 class RowShares(RowCounts):
@@ -158,8 +173,9 @@ class RowShares(RowCounts):
 
     __slots__ = ()
 
-    def _values(self) -> np.ndarray:
-        return self.panel.counts[self.row] / self.panel.totals[self.row]
+    def __init__(self, panel: CountPanel, row: int):
+        super().__init__(panel, row)
+        self.data = self.data / panel.totals[row]
 
 
 @dataclass

@@ -282,6 +282,17 @@ class TestTransitions:
         with pytest.raises(ValueError):
             transition_matrix(build_group_schedule(months([(1, {"a": 1}), (2, {"b": 1})])))
 
+    def test_rejects_a_schedule_it_cannot_read(self):
+        a, b, c = months([(1, {"a": 5, "b": 5}), (2, {"a": 5, "c": 5}), (3, {"x": 5})])
+        schedule = build_group_schedule([a, b, c])
+        as_dicts = [(label, dict(groups)) for label, groups in schedule]
+        with pytest.raises(ValueError, match="not a dict"):
+            transition_matrix(as_dicts)
+        # contribution_groups reads each pair on a panel of its own
+        apart = [(x.bin.label, contribution_groups(x, y)[1]) for x, y in ((a, b), (b, c))]
+        with pytest.raises(ValueError, match="the group maps of one panel"):
+            transition_matrix(apart)
+
 
 class TestTrajectories:
     def test_peak_ordering_and_cells(self):

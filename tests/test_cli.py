@@ -166,6 +166,23 @@ class TestGoldenFixture:
         second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert first == second
 
+    def test_failed_writer_leaves_the_previous_run_intact(self, tmp_path, capsys, monkeypatch):
+        args = (
+            "drift", "local", "--input", str(FIXTURE), "--output-dir", str(tmp_path),
+            "--dump-distributions",
+        )
+        assert run(*args) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def broken(path, dists):  # after a new drift_local.csv is written
+            path.write_text("bin_start,item_id\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tabular, "write_distributions", broken)
+        assert run(*args, "--measure", "jaccard") == 2
+        assert capsys.readouterr().err == "driftkit: disk full\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):

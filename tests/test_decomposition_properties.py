@@ -3,13 +3,16 @@
 ``contribution_pairs`` must span exactly the pairs of the drift view of its
 kind, its groups must be the rank bands written out here independently of
 ``analysis``, its shares an exact per-group sum, and ``transition_matrix``
-must equal a per-item tally loop bit for bit. The markets have more than 100
-items per bin, so the first two bands fill, and small counts, so the
-partials tie exactly.
+must equal a per-item tally loop over the group maps' ids bit for bit,
+without the schedule ever building a breakdown's id-keyed partials or
+ranking. The markets have more than 100 items per bin, so the first two
+bands fill, and small counts, so the partials tie exactly.
 """
 
 import math
+import pickle
 import random
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,26 +24,44 @@ from driftkit.analysis import (
     contribution_pairs,
     transition_matrix,
 )
+from driftkit.divergence import ContributionBreakdown
 
 from conftest import dist
 
 BOUNDS = (100, 1000, 10000, 50000)
 GROUPS = len(BOUNDS) + 1
-POOL = [f"i{k:03d}" for k in range(400)]
+POOL = [f"i{k:03d}" for k in range(600)]
 
 
 @st.composite
 def markets(draw):
-    """3-6 consecutive bins of 101-300 items with counts 1-4; a bin may repeat its predecessor."""
+    """3-6 consecutive bins of 101-300 items with counts 1-4.
+
+    After the first, a bin draws fresh items, repeats its predecessor,
+    shares no item with it, or brings back the items of the bin before it,
+    so items leave and come back.
+    """
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     tables = []
     for _ in range(draw(st.integers(min_value=3, max_value=6))):
-        if tables and draw(st.booleans()) and draw(st.booleans()):
+        kind = draw(st.sampled_from(["fresh", "repeat", "disjoint", "return"])) if tables else ""
+        if kind == "repeat":
             tables.append(dict(tables[-1]))
+            continue
+        if kind == "return" and len(tables) > 1:
+            ids = list(tables[-2])
         else:
-            ids = rng.sample(POOL, rng.randint(101, 300))
-            tables.append({item: rng.randint(1, 4) for item in ids})
+            pool = [i for i in POOL if i not in tables[-1]] if kind == "disjoint" else POOL
+            ids = rng.sample(pool, rng.randint(101, 300))
+        tables.append({item: rng.randint(1, 4) for item in ids})
     return [dist(t, month=m + 1) for m, t in enumerate(tables)]
+
+
+def _unread(name):
+    def read(breakdown):
+        raise AssertionError(f"the schedule built breakdown.{name}")
+
+    return property(read)
 
 
 def reference_groups(ranking):
@@ -94,6 +115,13 @@ def test_contribution_pairs_follow_the_view_and_the_bands(dists, data):
             assert groups == reference_groups(breakdown.ranking)
             assert shares == reference_shares(breakdown, groups)
             assert {1, 2} <= set(groups.values())
+        assert pickle.loads(pickle.dumps(got)) == got
 
-    schedule = build_group_schedule(dists)
-    assert np.array_equal(transition_matrix(schedule), reference_transitions(schedule))
+    with (
+        mock.patch.object(ContributionBreakdown, "partials", _unread("partials")),
+        mock.patch.object(ContributionBreakdown, "ranking", _unread("ranking")),
+    ):
+        schedule = build_group_schedule(dists)
+        matrix = transition_matrix(schedule)
+    assert np.array_equal(matrix, reference_transitions(schedule))
+    assert np.array_equal(transition_matrix(pickle.loads(pickle.dumps(schedule))), matrix)
