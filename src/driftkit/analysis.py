@@ -135,6 +135,8 @@ def _evaluate(
 
     Plug-in values come from the view's ``rows``; the bootstrap works on the
     two count tables, since its resamples are drawn in their aligned order.
+    Pairs run one after another in this process; only a pair's resamples
+    are split over ``estimator.jobs`` processes.
     """
     i, j = _earlier_first(dists, i, j)
     if rows is not None:
@@ -146,6 +148,7 @@ def _evaluate(
         measure,
         estimator.n_resamples,
         _pair_seed(estimator.seed, A.bin.index, B.bin.index),
+        jobs=estimator.jobs,
     )
     return est.corrected_value, est.std_error
 

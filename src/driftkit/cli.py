@@ -17,7 +17,8 @@ writer leaves the previous run's files as they were and no temporary file.
 Views are planned in `analysis` alone (default baseline, two-bin minimum);
 the subcommands pass the flags through.
 The estimator's seed is the one root seed, so identical inputs and flags
-give byte-identical outputs.
+give byte-identical outputs. `--jobs` (by default every usable core) only
+splits bootstrap resamples over processes and changes no output byte.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import analysis, canon, forecast, synthmarket, tabular
+from . import _fork, analysis, canon, forecast, synthmarket, tabular
 from .config import OPTIONS, ConfigError, RunConfig, build_config, load_config, parse_date
 from .events import IngestError, ingest
 from .popularity import aggregate, restrict_top_k
@@ -96,6 +97,8 @@ def _config_from_args(args) -> RunConfig:
             )
         overrides["top_k"] = "0"
     cfg = build_config(raw, overrides)
+    if not (overrides["jobs"] or raw.get("jobs")):  # unset: every usable core
+        cfg.estimator = dataclasses.replace(cfg.estimator, jobs=_fork.usable_cores())
     if cfg.input is None:
         raise UsageError("an input event log is required (--input or config `input`)")
     return cfg

@@ -15,6 +15,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from ._fork import MAX_WORKERS
 from .divergence import Measure
 from .estimators import DEFAULT_RESAMPLES, Estimator
 from .events import (
@@ -128,6 +129,13 @@ OPTIONS: dict[str, Option] = {
         "estimator.n_resamples", _as(int), f"bootstrap resamples (default {DEFAULT_RESAMPLES})"
     ),
     "seed": Option("estimator.seed", _as(int), "root seed for all randomness"),
+    "jobs": Option(
+        "estimator.jobs",
+        _as(int),
+        f"processes for bootstrap resampling (default: the usable cores, at most "
+        f"{MAX_WORKERS}); outputs are the same for every N",
+        "N",
+    ),
     "top_k": Option(
         "top_k", _as(int), f"restrict to the K most loaned items (default {DEFAULT_TOP_K}, 0 disables)"
     ),
@@ -143,7 +151,11 @@ _COMPOSITES = {
 }
 
 # keys read only by one kind of measure or estimator: key -> (field, kind)
-_ONLY_WITH = {"alpha": ("measure", "jsd_alpha"), "resamples": ("estimator", "bootstrap")}
+_ONLY_WITH = {
+    "alpha": ("measure", "jsd_alpha"),
+    "resamples": ("estimator", "bootstrap"),
+    "jobs": ("estimator", "bootstrap"),
+}
 
 
 def load_config(path: str | Path) -> dict[str, str]:
@@ -172,7 +184,8 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; serialized verbatim into the run manifest."""
+    """Everything a run needs; serialized verbatim into the run manifest,
+    except ``estimator.jobs``, which changes no output."""
 
     input: Path | None = None
     catalog: Path | None = None

@@ -418,6 +418,7 @@ class TestExitCodes:
         [
             ("alpha", "2", "measure jsd_alpha, not jsd"),
             ("resamples", "7", "estimator bootstrap, not plugin"),
+            ("jobs", "2", "estimator bootstrap, not plugin"),
         ],
     )
     @pytest.mark.parametrize("where", ["flag", "config"])
@@ -588,6 +589,7 @@ class TestConfigFile:
             {"measure": "jsd_alpha", "alpha": "2"},
             {"measure": "jaccard"},
             {"estimator": "bootstrap", "resamples": "20", "seed": "5"},
+            {"estimator": "bootstrap", "resamples": "20", "jobs": "2"},
             {"seed": "7"},
             {"top_k": "5"},
             {"max_malformed_fraction": "0.5"},
