@@ -29,8 +29,8 @@ contiguous slices: ranks 1-100, 101-1K, 1K-10K, 10K-50K and the rest. The
 bands are defined here and nowhere else: ``DEFAULT_GROUP_BOUNDS``,
 ``N_GROUPS``, ``_BAND_EDGES`` and ``group_of_rank``.
 
-Bins are found by ``events.find_bin``; selectors rank by ``CountPanel.rank``,
-the one item ranking (descending score, then id).
+Bins are found by ``events.find_bin``; the selectors' top k and a trajectory
+panel's row order (peak bin, then id) come from the one ``CountPanel.rank``.
 """
 
 from __future__ import annotations
@@ -229,13 +229,20 @@ def drift_matrix(
     return DriftMatrix([d.bin for d in dists], values)
 
 
+def _breakdown(
+    dists: list[PopularityDistribution], panel: CountPanel, i: int, j: int
+) -> ContributionBreakdown:
+    """The decomposition of bins i and j, read from their panel rows."""
+    require_loans(dists[i])
+    require_loans(dists[j])
+    return jsd_with_contributions(panel.shares(i), panel.shares(j))[1]
+
+
 def _contributions(
     dists: list[PopularityDistribution], panel: CountPanel, i: int, j: int
 ) -> tuple[ContributionBreakdown, PositionMap, list[float]]:
     """``contribution_groups`` of bins i and j, read from their panel rows."""
-    require_loans(dists[i])
-    require_loans(dists[j])
-    _, breakdown = jsd_with_contributions(panel.shares(i), panel.shares(j))
+    breakdown = _breakdown(dists, panel, i, j)
     ranked = breakdown.parts[breakdown.order]
     bands = [ranked[lo:hi] for lo, hi in zip(_BAND_EDGES, _BAND_EDGES[1:])]
     codes = np.repeat(np.arange(1, N_GROUPS + 1, dtype=np.int8), [len(b) for b in bands])
@@ -376,20 +383,18 @@ def trajectory_panel(
         t = find_bin(bins, selector.at)
         if t == b:
             raise ValueError(f"bin {selector.at} is the baseline; contributions need another bin")
-        require_loans(dists[b])
-        require_loans(dists[t])
-        _, breakdown = jsd_with_contributions(panel.shares(b), panel.shares(t))
+        breakdown = _breakdown(dists, panel, b, t)
         selected = breakdown.union[breakdown.order[: selector.k]]
     elif isinstance(selector, TopTotal):
         positions, loans = panel.all_index, panel.all_counts
         present = np.bincount(positions, minlength=panel.n_items) > 0
         totals = np.bincount(positions, weights=loans, minlength=panel.n_items)
-        selected = panel.rank(totals, present, selector.k)
+        selected = panel.top(totals, present, selector.k)
     elif isinstance(selector, TopPeak):
         positions, loans = panel.all_index, panel.all_counts
         peaks = np.zeros(panel.n_items, dtype=loans.dtype)
         np.maximum.at(peaks, positions, loans)
-        selected = panel.rank(peaks, peaks > 0, selector.k)
+        selected = panel.top(peaks, peaks > 0, selector.k)
     else:
         raise TypeError(f"unknown selector {selector!r}")
 
@@ -400,6 +405,6 @@ def trajectory_panel(
         counts[:, j] = spread[selected]
         spread[index] = 0
     peak = counts.argmax(axis=1)
-    order = np.lexsort((panel.id_rank[selected], peak))
+    order = panel.rank(selected, -peak)
     items = panel.ids[selected[order]].tolist()
     return TrajectoryPanel(bins, items, [bins[p] for p in peak[order].tolist()], counts[order])

@@ -13,7 +13,8 @@ it requires), build the config, load the distributions (ingest, then
 the output directory, so a failed analysis leaves no output directory. The
 products, then the manifest, are written to temporary names there and
 renamed into place only after every writer has returned, so a failed
-writer leaves the previous run's files as they were and no temporary file.
+writer leaves the previous run's files as they were and no temporary file,
+and removes the output directory and its parents if this run created them.
 Views are planned in `analysis` alone (default baseline, two-bin minimum);
 the subcommands pass the flags through.
 The estimator's seed is the one root seed, so identical inputs and flags
@@ -24,6 +25,7 @@ splits bootstrap resamples over processes and changes no output byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -164,11 +166,6 @@ def _run(args) -> int:
     cfg = _config_from_args(args)
     dists, reports = _load_distributions(cfg)
     products, extra = args.analyse(args, cfg, dists)
-    out = Path(cfg.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output dir {out}: {exc}") from exc
     names = [name for files, _ in products for name in files]
     config_dict = cfg.as_dict()
     config_dict["run"] = {**extra, **reports}
@@ -176,8 +173,14 @@ def _run(args) -> int:
     products.append(
         (("manifest.json",), lambda p: tabular.write_manifest(p, subcommand, config_dict, names))
     )
+    out = Path(cfg.output_dir)
+    created = [d for d in (out, *out.parents) if not os.path.exists(d)]  # deepest first
     staged = []  # (temporary path, final path), the manifest last
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot create output dir {out}: {exc}") from exc
         for files, write in products:
             paths = [(out / f".{name}.{os.getpid()}.tmp", out / name) for name in files]
             staged.extend(paths)
@@ -187,6 +190,9 @@ def _run(args) -> int:
     except BaseException:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
+        for directory in created:
+            with contextlib.suppress(OSError):  # never made, or no longer empty
+                os.rmdir(directory)
         raise
     return 0
 

@@ -2,7 +2,8 @@
 
 Each run option is declared once, in `OPTIONS`: its key (also the CLI flag,
 with dashes), the `RunConfig` field it sets, its parser and its help text.
-Defaults live only in the `RunConfig` fields and the dataclasses they hold.
+Defaults live only in the `RunConfig` fields and the dataclasses they hold,
+but for `jobs`, which `cli._config_from_args` sets to the usable cores.
 Every value, from a config file or a flag, arrives as a string and is
 parsed once by its option's parser; an empty value leaves the key unset.
 """

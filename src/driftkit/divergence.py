@@ -37,8 +37,8 @@ outputs stay byte-identical. Bootstrap resamples go through
 ``divergence_of_arrays``, which sums with np.sum (its docstring says why).
 
 ``jsd_with_contributions`` ranks the items once, where it computes their
-partials, by the one ranking rule: descending partial, then descending
-combined share p + q, then id (the panel's id rank). Its
+partials, by the panel's one ranking rule (``CountPanel.rank``): descending
+partial, then descending combined share p + q, then id. Its
 ``ContributionBreakdown`` keeps the pair on panel positions (the union's
 positions into the panel's ids, the partials and the ranking order, as
 arrays) and builds the id-keyed ``partials`` and ``ranking`` only when they
@@ -204,46 +204,16 @@ def _shares(P, Q):
     return panel, positions[keep], p, q
 
 
-def _ranking(parts: np.ndarray, mass: np.ndarray, panel: CountPanel, union) -> np.ndarray:
-    """Positions by the one ranking rule: descending partial, then descending mass, then id.
-
-    Every call pays for the ranking, so a fast unstable sort by partial
-    places the items whose partial is unique, and only the runs of equal
-    partials are put in the rule's order: the tied items sorted by id, then
-    one stable lexsort by partial and mass. A lexsort of all items, each
-    with an id rank, took about 4x as long on random 10k-item pairs (2-core
-    x86 host) and pushed acceptance criterion 1 past its time limit. On a
-    sampled market pair where 8.3k of 8.5k items tie, sorting the tied
-    items by id first took 1.5 ms against 2.1 ms for a three-key lexsort.
-    The tied items' id ranks are read from ``panel.id_rank`` through
-    ``union`` (the items' positions in ``panel.ids``), so the panel sorts
-    its ids only when some partials tie.
-    """
-    order = np.argsort(-parts)
-    ranked = parts[order]
-    equal = ranked[1:] == ranked[:-1]
-    tied = np.zeros(len(parts), dtype=bool)
-    tied[1:] = equal
-    tied[:-1] |= equal
-    if tied.any():
-        sub = order[tied]
-        sub = sub[np.argsort(panel.id_rank[union[sub]])]  # id ranks are unique
-        order[tied] = sub[np.lexsort((-mass[sub], -parts[sub]))]
-    return order
-
-
 def jsd_with_contributions(P, Q) -> tuple[DriftValue, ContributionBreakdown]:
     """JSD plus each item's additive share of it.
 
     The returned DriftValue is the entropy-form JSD; the breakdown's
     ``total_bits`` is the exact partial sum. The two agree to ~1e-15.
-    The ranking follows the one ranking rule; ids compare as Python
-    strings (the panel's id rank), because numpy's string sort treats
-    trailing NULs differently.
+    The ranking is ``CountPanel.rank`` by partial, then p + q.
     """
     panel, union, p, q = _shares(P, Q)
     parts = _partial_terms(p, q)
-    order = _ranking(parts, p + q, panel, union)
+    order = panel.rank(union, parts, p + q)
     breakdown = ContributionBreakdown(panel.ids, union, parts, order, _fsum(parts))
     value = _measure_value(Measure("jsd"), p, q, _fsum)
     return DriftValue(value, JSD_BITS), breakdown

@@ -14,8 +14,6 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from .analysis import N_GROUPS, DriftMatrix, DriftSeries, TrajectoryPanel, group_of_rank
 from .canon import CanonicalCatalog
 from .divergence import ContributionBreakdown
@@ -72,13 +70,10 @@ def write_trajectories(path: Path, panel: TrajectoryPanel):
 def _ranked_counts(dists: list[PopularityDistribution]):
     """Each bin's (label, id, count) rows by descending count, then id (`CountPanel.rank`)."""
     panel = panel_of(dists)
-    scores = np.zeros(panel.n_items, dtype=panel.all_counts.dtype)
-    member = np.zeros(panel.n_items, dtype=bool)
     for d, index, counts in zip(dists, panel.index, panel.counts):
-        scores[index], member[index] = counts, True
-        ranked = panel.rank(scores, member)
-        member[index] = False
-        yield from zip(repeat(d.bin.label), panel.ids[ranked].tolist(), scores[ranked].tolist())
+        order = panel.rank(index, counts)
+        ids = panel.ids[index[order]].tolist()
+        yield from zip(repeat(d.bin.label), ids, counts[order].tolist())
 
 
 def write_distributions(path: Path, dists: list[PopularityDistribution]):

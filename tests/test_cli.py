@@ -183,6 +183,22 @@ class TestGoldenFixture:
         assert capsys.readouterr().err == "driftkit: disk full\n"
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_writer_removes_the_output_dirs_it_created(self, tmp_path, monkeypatch, error):
+        def broken(path, dists):
+            path.write_text("bin_start,item_id\n")
+            raise error("disk full")
+
+        monkeypatch.setattr(tabular, "write_distributions", broken)
+        out = tmp_path / "new" / "deeper"
+        args = ("drift", "local", "--input", str(FIXTURE), "--output-dir", str(out))
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run(*args, "--dump-distributions")
+        else:
+            assert run(*args, "--dump-distributions") == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):

@@ -6,8 +6,8 @@ a library caller may build them by hand from plain dicts, which
 bits as ``jsd_with_contributions`` on ``normalize``d tables, and agree
 within 1e-12 with references that never touch a panel (``tests/reference.py``
 and the trajectory selection written with plain dicts). The panel must also
-rank items by the one rule, survive a pickle round trip as one object, and
-refuse to be mutated.
+rank items by the one rule (``CountPanel.rank``, against a plain ``sorted``),
+survive a pickle round trip as one object, and refuse to be mutated.
 """
 
 import csv
@@ -181,6 +181,32 @@ def test_shared_rows_and_hand_built_dicts_agree_bit_for_bit(market, data):
         assert got.counts.tolist() == rows
 
 
+@settings(max_examples=200, deadline=None)
+@given(markets(), st.integers(min_value=0, max_value=60), st.data())
+def test_rank_is_a_sort_by_descending_keys_then_id(market, k, data):
+    _, shared = market
+    # k = 0 keeps the shared panel; a restricted panel's id ranks have gaps
+    panel = (restrict_top_k(shared, k) if k else shared)[0].counts.panel
+    positions = data.draw(
+        st.lists(st.integers(0, panel.n_items - 1), unique=True, max_size=panel.n_items),
+        label="positions",
+    )
+    keys = [
+        np.array(data.draw(st.lists(values, min_size=len(positions), max_size=len(positions))))
+        for values in data.draw(
+            st.lists(
+                st.sampled_from([st.integers(0, 2), st.sampled_from([0.0, -0.0, 0.5, 1.0])]),
+                min_size=1,
+                max_size=3,
+            ),
+            label="key kinds",
+        )
+    ]
+    ids = panel.ids[positions].tolist()
+    want = sorted(range(len(positions)), key=lambda i: (*(-key[i] for key in keys), ids[i]))
+    assert panel.rank(np.array(positions, dtype=np.intp), *keys).tolist() == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(markets(), st.integers(min_value=1, max_value=300))
 def test_restrict_top_k_keeps_the_rank_items_set_in_bin_order(market, k):
@@ -211,7 +237,10 @@ def test_distribution_rows_follow_the_rank_items_reference(tmp_path_factory, mar
     # tied counts on ids that numpy's string order would misplace
     hand = hand + [dist({"i\x00": 2, "é": 2, "i": 2, "z": 1}, month=len(hand) + 1)]
     aggregated, _ = aggregate(BinTally(d.bin, d.cohort, Counter(d.counts), d.total) for d in hand)
-    for dists in (hand, aggregated, restrict_top_k(aggregated, k), shared):
+    restricted = restrict_top_k(aggregated, k)
+    # ranking again on a restricted panel, whose id ranks are not dense
+    twice = restrict_top_k(restricted, max(1, k // 2))
+    for dists in (hand, aggregated, restricted, twice, shared):
         write_distributions(path, dists)
         rows = [[d.bin.label, i, d.counts[i]] for d in dists for i in rank_items(d.counts)]
         want = io.StringIO()
