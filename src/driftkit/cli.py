@@ -9,12 +9,10 @@ and granularity applied per row. The analysis subcommands share one run
 frame (`_run`): check the view flags (`--baseline`, `--at`; an empty one
 is unset, and the chosen view must read each one given and get each one
 it requires), build the config, load the distributions (ingest, then
-`aggregate` through the catalog), run the analysis, and only then create
-the output directory, so a failed analysis leaves no output directory. The
-products, then the manifest, are written to temporary names there and
-renamed into place only after every writer has returned, so a failed
-writer leaves the previous run's files as they were and no temporary file,
-and removes the output directory and its parents if this run created them.
+`aggregate` through the catalog), run the analysis, and only then write.
+`canon`, `synth` and the analysis subcommands write through one output frame
+(`_write_outputs`), all or nothing: a failed or interrupted run leaves the
+previous run's files as they were, no temporary file and no directory it made.
 Views are planned in `analysis` alone (default baseline, two-bin minimum);
 the subcommands pass the flags through.
 The estimator's seed is the one root seed, so identical inputs and flags
@@ -126,6 +124,7 @@ def _load_distributions(cfg: RunConfig):
     if cfg.top_k:
         dists = restrict_top_k(dists, cfg.top_k)
     reports = {"ingest": ingest_report.as_dict(), "unknown_keys": agg_report.unknown_keys}
+    reports.update(matched=agg_report.matched, skipped=dict(agg_report.skipped))
     return dists, reports
 
 
@@ -155,27 +154,23 @@ def _reject_unread_view_flags(args):
             raise UsageError(f"--{flag} BIN is required for {name} {view}")
 
 
-def _run(args) -> int:
-    """The run frame of every analysis subcommand.
+def _write_outputs(out: Path, products, manifest=None) -> None:
+    """The one output frame: write ``products`` into directory ``out``, all or nothing.
 
-    ``args.analyse(args, cfg, dists)`` returns the products, each a tuple of
-    file names and a writer taking their paths, and the manifest's extra
-    run entries. Nothing is written until the analysis has succeeded.
+    A product is a tuple of file names and a writer taking their paths; a
+    ``manifest`` (subcommand, config dict) adds ``manifest.json`` last. Each
+    file goes to ``.<name>.<pid>.tmp``, renamed only after every writer has
+    returned. On any failure the temporaries, then the directories this call
+    created, are removed. Other processes' temporaries are left alone.
     """
-    _reject_unread_view_flags(args)
-    cfg = _config_from_args(args)
-    dists, reports = _load_distributions(cfg)
-    products, extra = args.analyse(args, cfg, dists)
-    names = [name for files, _ in products for name in files]
-    config_dict = cfg.as_dict()
-    config_dict["run"] = {**extra, **reports}
-    subcommand = " ".join(filter(None, (args.subcommand, getattr(args, "mode", None))))
-    products.append(
-        (("manifest.json",), lambda p: tabular.write_manifest(p, subcommand, config_dict, names))
-    )
-    out = Path(cfg.output_dir)
+    if manifest is not None:
+        names = [name for files, _ in products for name in files]
+        products = [
+            *products,
+            (("manifest.json",), lambda p: tabular.write_manifest(p, *manifest, names)),
+        ]
     created = [d for d in (out, *out.parents) if not os.path.exists(d)]  # deepest first
-    staged = []  # (temporary path, final path), the manifest last
+    staged = []  # (temporary path, final path), in product order
     try:
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -194,6 +189,23 @@ def _run(args) -> int:
             with contextlib.suppress(OSError):  # never made, or no longer empty
                 os.rmdir(directory)
         raise
+
+
+def _run(args) -> int:
+    """The run frame of every analysis subcommand.
+
+    ``args.analyse(args, cfg, dists)`` returns the products, each a tuple of
+    file names and a writer taking their paths, and the manifest's extra
+    run entries. Nothing is written until the analysis has succeeded.
+    """
+    _reject_unread_view_flags(args)
+    cfg = _config_from_args(args)
+    dists, reports = _load_distributions(cfg)
+    products, extra = args.analyse(args, cfg, dists)
+    config_dict = cfg.as_dict()
+    config_dict["run"] = {**extra, **reports}
+    subcommand = " ".join(filter(None, (args.subcommand, getattr(args, "mode", None))))
+    _write_outputs(Path(cfg.output_dir), products, (subcommand, config_dict))
     return 0
 
 
@@ -214,8 +226,8 @@ def cmd_canon(args) -> int:
     items = tabular.read_items_table(Path(args.items))
     catalog = canon.canonicalize(items, window=args.window, max_edit=args.max_edit)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tabular.write_mapping(out, catalog.mapping)
+    write = partial(tabular.write_mapping, mapping=catalog.mapping)
+    _write_outputs(out.parent, [((out.name,), write)])
     print(f"{catalog.n_items} items -> {catalog.n_canonical} canonical items ({out})")
     return 0
 
@@ -334,18 +346,10 @@ def cmd_synth(args) -> int:
     except (ValueError, ConfigError) as exc:
         raise UsageError(str(exc)) from exc
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output dir {out}: {exc}") from exc
-    events_path = out / "events.csv"
-    truth_path = out / "truth.csv" if args.truth else None
-    synthmarket.generate(spec, events_path, truth_path)
-    manifest = dataclasses.asdict(spec)
-    manifest["start"] = spec.start.isoformat()
-    outputs = [events_path] + ([truth_path] if truth_path else [])
-    tabular.write_manifest(out / "manifest.json", "synth", manifest, [p.name for p in outputs])
-    print(f"wrote {events_path} ({spec.loans_per_bin * spec.n_bins} events)")
+    files = ("events.csv", "truth.csv") if args.truth else ("events.csv",)
+    manifest = {**dataclasses.asdict(spec), "start": spec.start.isoformat()}
+    _write_outputs(out, [(files, partial(synthmarket.generate, spec))], ("synth", manifest))
+    print(f"wrote {out / 'events.csv'} ({spec.loans_per_bin * spec.n_bins} events)")
     return 0
 
 
@@ -369,17 +373,14 @@ def build_parser() -> _Parser:
     p.add_argument("--items", required=True, help="CSV with item_key,title,creator")
     p.add_argument("--out", required=True, help="mapping CSV to write")
     p.add_argument("--window", type=_at_least_one, default=canon.DEFAULT_WINDOW)
-    p.add_argument("--max-edit", dest="max_edit", type=_at_least_zero, default=canon.DEFAULT_MAX_EDIT)
+    p.add_argument("--max-edit", type=_at_least_zero, default=canon.DEFAULT_MAX_EDIT)
     p.set_defaults(func=cmd_canon)
 
     p = sub.add_parser("drift", help="local/global drift series or full pair matrix")
     p.add_argument("mode", choices=("local", "global", "matrix"))
     p.add_argument("--baseline", help="baseline bin start (global mode), e.g. 2021-05-01")
     p.add_argument(
-        "--dump-distributions",
-        dest="dump_distributions",
-        action="store_true",
-        help="also write per-bin item counts",
+        "--dump-distributions", action="store_true", help="also write per-bin item counts"
     )
     _add_common(p)
     p.set_defaults(func=_run, analyse=cmd_drift)
@@ -387,11 +388,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("contrib", help="per-pair contribution group shares, over all items")
     p.add_argument("--kind", choices=("local", "global"), default="local")
     p.add_argument("--baseline", help="baseline bin start for --kind global")
-    p.add_argument(
-        "--dump-pair",
-        dest="dump_pair",
-        help="bin start of one pair whose per-item contributions to dump",
-    )
+    p.add_argument("--dump-pair", help="bin start of one pair whose per-item contributions to dump")
     _add_common(p, all_items=True)
     p.set_defaults(func=_run, analyse=cmd_contrib)
 
@@ -415,8 +412,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="seasonal-naive drift prediction, year over year")
     p.add_argument("--kind", choices=("local", "global"), default="local")
-    p.add_argument("--source-year", dest="source_year", type=int, required=True)
-    p.add_argument("--target-year", dest="target_year", type=int, required=True)
+    p.add_argument("--source-year", type=int, required=True)
+    p.add_argument("--target-year", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_run, analyse=cmd_predict)
 

@@ -58,9 +58,12 @@ def parse_age_range(text: str, what: str = "age_range") -> tuple[int, int | None
         raise ConfigError(f"bad {what} {text!r}: expected LO-HI or LO-")
     lo, hi = text.split("-", 1)
     try:
-        return int(lo), (int(hi) if hi else None)
+        lo, hi = int(lo), (int(hi) if hi else None)
     except ValueError as exc:
         raise ConfigError(f"bad {what} {text!r}") from exc
+    if hi is not None and hi <= lo:
+        raise ConfigError(f"bad {what} {text!r}: the band [LO, HI) is empty, expected LO < HI")
+    return lo, hi
 
 
 def _parse_enum(enum_cls, text: str, what: str):

@@ -329,11 +329,12 @@ def open_table(path, columns: dict[str, str], mandatory, missing: str):
     return handle, reader, {fld: positions.get(col) for fld, col in columns.items()}
 
 
-def table_rows(path, handle, reader, width: int, missing: str):
+def table_rows(path, handle, reader, width: int, missing: str, nonempty=()):
     """The non-blank data rows of a table from `open_table`, closing it at the end.
 
     A row of fewer than ``width`` fields raises SchemaError (``missing`` with
-    PATH:LINE); a byte that is not UTF-8, IngestError naming the last row read.
+    PATH:LINE), and so does a row with an empty field of ``nonempty``, (name,
+    position) pairs; a byte that is not UTF-8, IngestError naming the last row read.
     """
     rows = 0
     with handle:
@@ -343,6 +344,9 @@ def table_rows(path, handle, reader, width: int, missing: str):
                     if not row:
                         continue
                     raise SchemaError(missing.format(path=f"{path}:{reader.line_num}"))
+                for name, i in nonempty:
+                    if not row[i]:
+                        raise SchemaError(f"{path}:{reader.line_num}: empty {name}")
                 yield row
         except UnicodeDecodeError as exc:
             raise _decode_error(path, rows, exc) from exc

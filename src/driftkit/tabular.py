@@ -85,12 +85,12 @@ def write_mapping(path: Path, mapping: dict[str, str]):
 
 
 def read_mapping(path: Path) -> CanonicalCatalog:
-    """The catalog `write_mapping` wrote: item_key,canonical_id rows."""
+    """The catalog `write_mapping` wrote: item_key,canonical_id rows, neither empty."""
     missing = "catalog {path}: expected columns item_key,canonical_id"
     names = ("item_key", "canonical_id")
     handle, reader, cols = open_table(path, {c: c for c in names}, names, missing)
     i_key, i_cid = cols["item_key"], cols["canonical_id"]
-    rows = table_rows(path, handle, reader, max(i_key, i_cid) + 1, missing)
+    rows = table_rows(path, handle, reader, max(i_key, i_cid) + 1, missing, cols.items())
     mapping = {row[i_key]: row[i_cid] for row in rows}
     groups: dict[str, list[str]] = {}
     for key, cid in mapping.items():
@@ -99,13 +99,17 @@ def read_mapping(path: Path) -> CanonicalCatalog:
 
 
 def read_items_table(path: Path) -> list[tuple[str, str, str]]:
-    """(item_key, title, creator) rows for the canonicalizer; a missing creator reads as ""."""
+    """(item_key, title, creator) rows for the canonicalizer; a missing creator reads as "".
+
+    An empty item_key is a SchemaError naming PATH:LINE, as a short row is.
+    """
     missing = "{path}: expected columns item_key,title[,creator]"
     names = ("item_key", "title", "creator")
     handle, reader, cols = open_table(path, {c: c for c in names}, names[:2], missing)
     i_key, i_title, i_creator = cols["item_key"], cols["title"], cols["creator"]
     items = []
-    for row in table_rows(path, handle, reader, max(i_key, i_title) + 1, missing):
+    rows = table_rows(path, handle, reader, max(i_key, i_title) + 1, missing, [("item_key", i_key)])
+    for row in rows:
         has_creator = i_creator is not None and i_creator < len(row)
         items.append((row[i_key], row[i_title], row[i_creator] if has_creator else ""))
     return items

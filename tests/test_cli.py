@@ -23,6 +23,39 @@ def run(*argv):
     return main(list(argv))
 
 
+# each command that writes files: its argv writing into directory `out`, the
+# tabular writer a test breaks, and flags that change the bytes it writes
+WRITING_RUNS = {
+    "drift": (
+        lambda out: ("drift", "local", "--input", str(FIXTURE), "--dump-distributions",
+                     "--output-dir", str(out)),
+        "write_distributions",
+        ("--measure", "jaccard"),
+    ),
+    "canon": (
+        lambda out: ("canon", "--items", str(FIXTURE), "--out", str(out / "mapping.csv")),
+        "write_mapping",
+        ("--max-edit", "0"),
+    ),
+    "synth": (
+        lambda out: ("synth", "--truth", "--catalog-size", "200", "--loans-per-bin", "100",
+                     "--bins", "2", "--loaners", "10", "--out", str(out)),
+        "write_manifest",
+        ("--seed", "2"),
+    ),
+}
+
+
+def break_writer(monkeypatch, name, error):
+    """Make ``tabular.<name>`` write a partial file, then raise ``error``."""
+
+    def broken(path, *args, **kwargs):
+        path.write_text("partial\n")
+        raise error("disk full")
+
+    monkeypatch.setattr(tabular, name, broken)
+
+
 @pytest.fixture(scope="module")
 def static_log(tmp_path_factory):
     """A churn-free market: every month shares one true distribution."""
@@ -166,38 +199,44 @@ class TestGoldenFixture:
         second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert first == second
 
-    def test_failed_writer_leaves_the_previous_run_intact(self, tmp_path, capsys, monkeypatch):
-        args = (
-            "drift", "local", "--input", str(FIXTURE), "--output-dir", str(tmp_path),
-            "--dump-distributions",
-        )
-        assert run(*args) == 0
+    @pytest.mark.parametrize("command", WRITING_RUNS)
+    def test_failed_writer_leaves_the_previous_run_intact(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        argv, writer, changed = WRITING_RUNS[command]
+        assert run(*argv(tmp_path)) == 0
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-
-        def broken(path, dists):  # after a new drift_local.csv is written
-            path.write_text("bin_start,item_id\n")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(tabular, "write_distributions", broken)
-        assert run(*args, "--measure", "jaccard") == 2
+        break_writer(monkeypatch, writer, OSError)
+        capsys.readouterr()
+        assert run(*argv(tmp_path), *changed) == 2
         assert capsys.readouterr().err == "driftkit: disk full\n"
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("command", WRITING_RUNS)
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
-    def test_failed_writer_removes_the_output_dirs_it_created(self, tmp_path, monkeypatch, error):
-        def broken(path, dists):
-            path.write_text("bin_start,item_id\n")
-            raise error("disk full")
-
-        monkeypatch.setattr(tabular, "write_distributions", broken)
-        out = tmp_path / "new" / "deeper"
-        args = ("drift", "local", "--input", str(FIXTURE), "--output-dir", str(out))
+    def test_failed_writer_removes_the_output_dirs_it_created(
+        self, tmp_path, monkeypatch, error, command
+    ):
+        argv, writer, _ = WRITING_RUNS[command]
+        break_writer(monkeypatch, writer, error)
+        args = argv(tmp_path / "new" / "deeper")
         if error is KeyboardInterrupt:
             with pytest.raises(KeyboardInterrupt):
-                run(*args, "--dump-distributions")
+                run(*args)
         else:
-            assert run(*args, "--dump-distributions") == 2
+            assert run(*args) == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_stale_temporaries_of_another_run_are_ignored(self, tmp_path):
+        args = ("drift", "local", "--input", str(FIXTURE), "--output-dir", str(tmp_path))
+        assert run(*args) == 0
+        clean = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        stale = tmp_path / f".drift_local.csv.{os.getpid() + 1}.tmp"  # another process's
+        stale.write_text("bin_start,value\n")
+        assert run(*args) == 0
+        assert stale.read_text() == "bin_start,value\n"
+        stale.unlink()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == clean
 
 
 class TestExitCodes:
@@ -272,15 +311,20 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "catalog",
+        "catalog, message",
         [
-            "key,canonical\n",
-            "key,canonical\nK0000001,K0000001\n",
-            "item_key,canonical_id\nK0000001\n",
+            ("key,canonical\n", "expected columns item_key,canonical_id"),
+            ("key,canonical\nK0000001,K0000001\n", "expected columns item_key,canonical_id"),
+            ("item_key,canonical_id\nK0000001\n", "expected columns item_key,canonical_id"),
+            ("item_key,canonical_id\nK0000002,K0000001\nK0000064,\n",
+             "{path}:3: empty canonical_id"),
+            ("item_key,canonical_id\n,K0000001\n", "{path}:2: empty item_key"),
         ],
-        ids=["no-rows", "rows", "short-row"],
+        ids=["no-rows", "rows", "short-row", "empty-canonical-id", "empty-item-key"],
     )
-    def test_catalog_without_mapping_columns_is_data_error(self, tmp_path, capsys, catalog):
+    def test_catalog_without_mapping_columns_is_data_error(
+        self, tmp_path, capsys, catalog, message
+    ):
         path = tmp_path / "mapping.csv"
         path.write_text(catalog)
         code = run(
@@ -288,8 +332,17 @@ class TestExitCodes:
             "--output-dir", str(tmp_path / "out"),
         )
         assert code == 2
-        assert "expected columns item_key,canonical_id" in capsys.readouterr().err
+        assert message.format(path=path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("age_range", ["46-30", "30-30"])
+    def test_empty_age_band_is_usage_error(self, tmp_path, capsys, age_range):
+        # the log does not exist: the band is rejected before it is read
+        out = tmp_path / "out"
+        argv = ("--input", str(tmp_path / "absent.csv"), "--output-dir", str(out))
+        assert run("drift", "local", "--age-range", age_range, *argv) == 1
+        assert f"bad age_range '{age_range}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("k", ["-5", "0"])
@@ -512,6 +565,14 @@ class TestExitCodes:
         assert f"driftkit: {items}:3: expected columns item_key,title[,creator]\n" == (
             capsys.readouterr().err
         )
+        assert not out.exists()
+
+    def test_empty_items_key_is_data_error(self, tmp_path, capsys):
+        items = tmp_path / "items.csv"
+        items.write_text("item_key,title,creator\nK1,Pixel Ninja,A. Writer\n,Ninja,A. Writer\n")
+        out = tmp_path / "out"
+        assert run("canon", "--items", str(items), "--out", str(out / "mapping.csv")) == 2
+        assert capsys.readouterr().err == f"driftkit: {items}:3: empty item_key\n"
         assert not out.exists()
 
 
@@ -772,6 +833,25 @@ class TestAnalysisCommands:
         assert run(*argv, "--input", str(FIXTURE), "--output-dir", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["run"]["baseline"] == baseline
+
+    def test_manifest_records_the_row_accounting(self, tmp_path):
+        rows = FIXTURE.read_text().splitlines(keepends=True)
+        fields = rows[1].split(",")
+        fields[7] = ""  # birthdate
+        rows[1] = ",".join(fields)
+        log = tmp_path / "events.csv"
+        log.write_text("".join(rows))
+        accounting = {}
+        for cohort in ((), ("--age-range", "0-")):
+            out = tmp_path / "out"
+            argv = ("--input", str(log), "--output-dir", str(out), *cohort)
+            assert run("drift", "local", *argv) == 0
+            entries = json.loads((out / "manifest.json").read_text())["config"]["run"]
+            accounting[cohort] = {k: entries[k] for k in ("matched", "skipped", "unknown_keys")}
+        assert accounting[()] == {"matched": 1000, "skipped": {}, "unknown_keys": 0}
+        assert accounting[("--age-range", "0-")] == {
+            "matched": 999, "skipped": {"missing_birthdate": 1}, "unknown_keys": 0
+        }
 
 
 class TestSynthCommand:

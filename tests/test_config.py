@@ -71,8 +71,10 @@ class TestBuildConfig:
 
     def test_age_range_syntax(self):
         assert parse_age_range("65-") == (65, None)
-        with pytest.raises(ConfigError):
-            parse_age_range("old")
+        assert parse_age_range("30-31") == (30, 31)
+        for text in ("old", "46-30", "30-30"):
+            with pytest.raises(ConfigError, match=f"bad age_range '{text}'"):
+                parse_age_range(text)
 
     def test_bad_measure_and_estimator(self):
         with pytest.raises(ConfigError):
