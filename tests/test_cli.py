@@ -56,6 +56,29 @@ def break_writer(monkeypatch, name, error):
     monkeypatch.setattr(tabular, name, broken)
 
 
+def check_failed_writer_leaves_the_previous_run(tmp_path, capsys, monkeypatch, command):
+    argv, writer, changed = WRITING_RUNS[command]
+    assert run(*argv(tmp_path)) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    break_writer(monkeypatch, writer, OSError)
+    capsys.readouterr()
+    assert run(*argv(tmp_path), *changed) == 2
+    assert capsys.readouterr().err == "driftkit: disk full\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def check_failed_writer_removes_the_output_dirs(tmp_path, monkeypatch, error, command):
+    argv, writer, _ = WRITING_RUNS[command]
+    break_writer(monkeypatch, writer, error)
+    args = argv(tmp_path / "new" / "deeper")
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            run(*args)
+    else:
+        assert run(*args) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def static_log(tmp_path_factory):
     """A churn-free market: every month shares one true distribution."""
@@ -199,33 +222,25 @@ class TestGoldenFixture:
         second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert first == second
 
-    @pytest.mark.parametrize("command", WRITING_RUNS)
-    def test_failed_writer_leaves_the_previous_run_intact(
+    def test_failed_writer_leaves_the_previous_run_intact(self, tmp_path, capsys, monkeypatch):
+        check_failed_writer_leaves_the_previous_run(tmp_path, capsys, monkeypatch, "drift")
+
+    @pytest.mark.parametrize("command", ["canon", "synth"])
+    def test_failed_canon_or_synth_writer_leaves_the_previous_run_intact(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        argv, writer, changed = WRITING_RUNS[command]
-        assert run(*argv(tmp_path)) == 0
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        break_writer(monkeypatch, writer, OSError)
-        capsys.readouterr()
-        assert run(*argv(tmp_path), *changed) == 2
-        assert capsys.readouterr().err == "driftkit: disk full\n"
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        check_failed_writer_leaves_the_previous_run(tmp_path, capsys, monkeypatch, command)
 
-    @pytest.mark.parametrize("command", WRITING_RUNS)
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
-    def test_failed_writer_removes_the_output_dirs_it_created(
+    def test_failed_writer_removes_the_output_dirs_it_created(self, tmp_path, monkeypatch, error):
+        check_failed_writer_removes_the_output_dirs(tmp_path, monkeypatch, error, "drift")
+
+    @pytest.mark.parametrize("command", ["canon", "synth"])
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_canon_or_synth_writer_removes_the_output_dirs_it_created(
         self, tmp_path, monkeypatch, error, command
     ):
-        argv, writer, _ = WRITING_RUNS[command]
-        break_writer(monkeypatch, writer, error)
-        args = argv(tmp_path / "new" / "deeper")
-        if error is KeyboardInterrupt:
-            with pytest.raises(KeyboardInterrupt):
-                run(*args)
-        else:
-            assert run(*args) == 2
-        assert list(tmp_path.iterdir()) == []
+        check_failed_writer_removes_the_output_dirs(tmp_path, monkeypatch, error, command)
 
     def test_stale_temporaries_of_another_run_are_ignored(self, tmp_path):
         args = ("drift", "local", "--input", str(FIXTURE), "--output-dir", str(tmp_path))
