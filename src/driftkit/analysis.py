@@ -7,23 +7,25 @@ bin; the series, ``contribution_pairs`` and ``TopGlobalContrib`` read them.
 
 Every all-items view reads its bins as rows of one count panel
 (``popularity.panel_of``): the producers' shared panel, so no view interns
-the items again. A plug-in view (local or global series, or the all-pairs
-matrix) reads the view's bins by position through ``divergence.BinRows``,
-which caches each bin's shares and its own term of the measure; every pair
-then computes only its union term. Bootstrap views estimate each pair from
-its two count tables. Every pair of rows, in every view, is aligned by the
-one ``divergence._aligned``.
+the items again. Each view reads them through one ``divergence.BinRows``,
+the one reader of a pair, built once per view after the view's bins are
+checked for loans (``_rows``): a plug-in series or matrix takes each pair's
+``value``, and ``contribution_pairs`` and ``contribution_groups`` each
+pair's ``breakdown``. ``TopGlobalContrib`` reads its one pair through
+``jsd_with_contributions`` on the two normalized bins, which builds a
+two-row reader of its own. So do bootstrap views, from each pair's two
+count tables (``bootstrap_divergence``).
 
-The decomposition stays on panel positions. ``jsd_with_contributions`` on
-two panel rows gives the pair's union positions, partials and ranking
-order as arrays; a pair's groups are a ``popularity.PositionMap`` of its
-ranked positions to their groups (each band a contiguous slice of the
-order); ``transition_matrix`` tallies each consecutive pair with one
-bincount, and ``TopGlobalContrib`` keeps the first k ranked positions.
-Item ids are read only where a caller asks for them. The other selectors'
-totals and peaks are bincounts over the rows.
+The decomposition stays on panel positions. ``BinRows.breakdown`` gives a
+pair's union positions, partials and ranking order as arrays; a pair's
+groups are a ``popularity.PositionMap`` of its ranked positions to their
+groups (each band a contiguous slice of the order); ``transition_matrix``
+tallies each consecutive pair with one bincount, and ``TopGlobalContrib``
+keeps the first k ranked positions. Item ids are read only where a caller
+asks for them. The other selectors' totals and peaks are bincounts over the
+rows.
 
-Contribution groups band the ranking that ``jsd_with_contributions`` builds
+Contribution groups band the ranking that ``BinRows.breakdown`` builds
 (descending partial, then descending combined share p + q, then id) into
 contiguous slices: ranks 1-100, 101-1K, 1K-10K, 10K-50K and the rest. The
 bands are defined here and nowhere else: ``DEFAULT_GROUP_BOUNDS``,
@@ -44,20 +46,12 @@ from datetime import date
 import numpy as np
 
 from .divergence import BinRows, ContributionBreakdown, Measure, jsd_with_contributions
-# not called here since every view reads panel rows; kept importable as
-# analysis.divergence_of and analysis.normalize, where bench/tracing.py
-# hooks them
+# not called here since every view reads its pairs through BinRows; kept
+# importable as analysis.divergence_of, where bench/tracing.py hooks it
 from .divergence import divergence_of  # noqa: F401
 from .estimators import Estimator, bootstrap_divergence
 from .events import TimeBin, bin_from_index, find_bin
-from .popularity import (  # noqa: F401
-    CountPanel,
-    PopularityDistribution,
-    PositionMap,
-    normalize,
-    panel_of,
-    require_loans,
-)
+from .popularity import PopularityDistribution, PositionMap, normalize, panel_of, require_loans
 
 DEFAULT_GROUP_BOUNDS = (100, 1000, 10000, 50000)
 N_GROUPS = len(DEFAULT_GROUP_BOUNDS) + 1
@@ -105,14 +99,11 @@ def _earlier_first(dists: list[PopularityDistribution], i: int, j: int) -> tuple
     return (j, i) if dists[i].bin.index > dists[j].bin.index else (i, j)
 
 
-def _plugin_rows(
-    dists: list[PopularityDistribution], pairs: list[tuple[int, int]], measure: Measure
-) -> BinRows:
-    """The view's bins as panel rows, read by position.
+def _require_loans(dists: list[PopularityDistribution], pairs: list[tuple[int, int]]):
+    """Reject an empty bin of ``pairs``, the one a pair-by-pair loop would meet first.
 
     Bins are checked in the order the pairs first reach them, earlier bin
-    first within a pair, so the empty bin reported is the one a pair-by-pair
-    loop would meet first.
+    first within a pair, before any of their cells is divided.
     """
     checked = set()
     for i, j in pairs:
@@ -120,7 +111,14 @@ def _plugin_rows(
             if k not in checked:
                 require_loans(dists[k])
                 checked.add(k)
-    return BinRows(measure, dists)
+
+
+def _rows(
+    dists: list[PopularityDistribution], pairs: list[tuple[int, int]], measure: Measure
+) -> BinRows:
+    """The view's one reader: its bins as rows of their count panel, read by position."""
+    _require_loans(dists, pairs)
+    return BinRows(measure, panel_of(dists))
 
 
 def _evaluate(
@@ -160,7 +158,7 @@ def _evaluate_pairs(
     measure: Measure,
 ) -> list[tuple[float, float | None]]:
     """Every pair of one view; a plug-in view reads its bins' rows once for all of them."""
-    rows = _plugin_rows(dists, pairs, measure) if estimator.kind == "plugin" else None
+    rows = _rows(dists, pairs, measure) if estimator.kind == "plugin" else None
     return [_evaluate(dists, i, j, estimator, measure, rows) for i, j in pairs]
 
 
@@ -229,20 +227,11 @@ def drift_matrix(
     return DriftMatrix([d.bin for d in dists], values)
 
 
-def _breakdown(
-    dists: list[PopularityDistribution], panel: CountPanel, i: int, j: int
-) -> ContributionBreakdown:
-    """The decomposition of bins i and j, read from their panel rows."""
-    require_loans(dists[i])
-    require_loans(dists[j])
-    return jsd_with_contributions(panel.shares(i), panel.shares(j))[1]
-
-
 def _contributions(
-    dists: list[PopularityDistribution], panel: CountPanel, i: int, j: int
+    rows: BinRows, i: int, j: int
 ) -> tuple[ContributionBreakdown, PositionMap, list[float]]:
-    """``contribution_groups`` of bins i and j, read from their panel rows."""
-    breakdown = _breakdown(dists, panel, i, j)
+    """``contribution_groups`` of bins i and j, read from the view's rows."""
+    breakdown = rows.breakdown(i, j)
     ranked = breakdown.parts[breakdown.order]
     bands = [ranked[lo:hi] for lo, hi in zip(_BAND_EDGES, _BAND_EDGES[1:])]
     codes = np.repeat(np.arange(1, N_GROUPS + 1, dtype=np.int8), [len(b) for b in bands])
@@ -262,7 +251,7 @@ def contribution_groups(
     JSD; they sum to one whenever the pair actually drifted, and are all
     zero for identical distributions.
     """
-    return _contributions([A, B], panel_of([A, B]), 0, 1)
+    return _contributions(_rows([A, B], [(0, 1)], Measure("jsd")), 0, 1)
 
 
 def contribution_pairs(
@@ -278,9 +267,9 @@ def contribution_pairs(
     if kind not in ("local", "global"):
         raise ValueError(f"unknown view kind {kind!r}")
     pairs = _local_pairs(dists) if kind == "local" else _global_pairs(dists, baseline)
-    panel = panel_of(dists)
+    rows = _rows(dists, pairs, Measure("jsd"))
     for i, j in pairs:
-        yield (dists[j].bin, *_contributions(dists, panel, i, j))
+        yield (dists[j].bin, *_contributions(rows, i, j))
 
 
 def build_group_schedule(dists: list[PopularityDistribution]) -> list[tuple[str, PositionMap]]:
@@ -383,8 +372,14 @@ def trajectory_panel(
         t = find_bin(bins, selector.at)
         if t == b:
             raise ValueError(f"bin {selector.at} is the baseline; contributions need another bin")
-        breakdown = _breakdown(dists, panel, b, t)
-        selected = breakdown.union[breakdown.order[: selector.k]]
+        _require_loans(dists, [(b, t)])
+        # its one pair goes through the mapping API, the call bench/tracing.py times
+        # as the divergence layer; that API's panel lists b's items, then t's
+        # others, so ``ids`` are its ids as positions into this panel
+        _, breakdown = jsd_with_contributions(normalize(dists[b]), normalize(dists[t]))
+        ib, it = panel.index[b], panel.index[t]
+        ids = np.concatenate((ib, it[~np.isin(it, ib)]))
+        selected = ids[breakdown.union[breakdown.order[: selector.k]]]
     elif isinstance(selector, TopTotal):
         positions, loans = panel.all_index, panel.all_counts
         present = np.bincount(positions, minlength=panel.n_items) > 0

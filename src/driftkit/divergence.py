@@ -18,32 +18,32 @@ three private steps: a side term of one distribution alone (H(P), the Tsallis
 sum or the support size), a pair term over the union support (the same side
 term of the midpoint, or the shared support size), and their combination.
 
-Every input is two rows of one count panel (``popularity.CountPanel``),
-and one private step, ``_aligned``, lays any two rows side by side: row a's
-items, then row b's, with b's shares gathered onto a's items through a
-scratch vector of length n_items. ``divergence_of``, the per-measure
-functions and ``jsd_with_contributions`` take their inputs through
-``_shares``: two rows of one panel (``CountPanel.shares``) go through
-``_aligned``, two plain mappings of item id to probability
-(``popularity.normalize``) are laid out directly (P's ids, then Q's other
-ids), and either pair is cut to its joint support, the items with a
-positive share on some side. ``BinRows`` reads a whole view's bins as rows
-of one panel (``popularity.panel_of``), divides each row once, caches its
-nonzero shares and side term, and aligns each pair with ``_aligned`` too,
-so each pair pays only for its pair term. All of them sum with math.fsum:
-exact summation makes results independent of key order, so symmetry holds
-bit-exactly, ``BinRows`` equals ``divergence_of`` bit for bit and pinned
-outputs stay byte-identical. Bootstrap resamples go through
+``BinRows`` is the one reader of a pair. It reads distributions as rows of
+one count panel (``popularity.CountPanel``), divides every cell once, and
+is the only caller of ``_aligned``, which lays two rows side by side: row
+a's items, then row b's, with b's shares gathered onto a's items through a
+scratch vector of length n_items. It has three steps. ``value`` caches each
+row's nonzero shares and side term, so a pair pays only for its pair term;
+the series and the matrix read it. ``pair`` gives a pair's panel positions
+and aligned shares over its joint support, the items with a positive share
+on some side; the bootstrap draws its resamples over them. ``breakdown``
+gives the pair's partials, ranked, with their exact sum; the decomposition
+views read it. The mapping API (``divergence_of``, the per-measure
+functions and ``jsd_with_contributions``) takes two plain mappings of item
+id to probability (``popularity.normalize``) as the two rows of a panel
+interned with totals 1.0, and reads them the same way. Every value sums
+with math.fsum: exact summation makes results independent of key order, so
+symmetry holds bit-exactly, a view equals ``divergence_of`` bit for bit and
+pinned outputs stay byte-identical. Bootstrap resamples go through
 ``divergence_of_arrays``, which sums with np.sum (its docstring says why).
 
-``jsd_with_contributions`` ranks the items once, where it computes their
-partials, by the panel's one ranking rule (``CountPanel.rank``): descending
-partial, then descending combined share p + q, then id. Its
-``ContributionBreakdown`` keeps the pair on panel positions (the union's
-positions into the panel's ids, the partials and the ranking order, as
-arrays) and builds the id-keyed ``partials`` and ``ranking`` only when they
-are read. The rank bands that turn the ranking into contribution groups
-live in ``analysis``.
+``breakdown`` ranks the items once, where it computes their partials, by
+the panel's one ranking rule (``CountPanel.rank``): descending partial,
+then descending combined share p + q, then id. Its ``ContributionBreakdown``
+keeps the pair on panel positions (the union's positions into the panel's
+ids, the partials and the ranking order, as arrays) and builds the id-keyed
+``partials`` and ``ranking`` only when they are read. The rank bands that
+turn the ranking into contribution groups live in ``analysis``.
 """
 
 from __future__ import annotations
@@ -52,11 +52,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
-from .popularity import CountPanel, PopularityDistribution, RowShares, panel_of
+from .popularity import CountPanel
 
 JSD_BITS = "jsd_bits"
 JACCARD = "jaccard"
@@ -176,34 +175,6 @@ def _aligned(ia, p: np.ndarray, ib, q: np.ndarray, scratch: np.ndarray):
     return np.concatenate((p, np.zeros(q.size))), np.concatenate((q_on_a, q_rest))
 
 
-def _shares(P, Q):
-    """The panel, positions and aligned shares of two distributions over their joint support.
-
-    Two rows of one panel (``CountPanel.shares``) go through ``_aligned``.
-    Any other two mappings are laid out directly, P's ids, then Q's other
-    ids, on a panel that holds only those ids. Either way the items with no
-    positive share on either side are dropped.
-    """
-    if type(P) is RowShares and type(Q) is RowShares and P.panel is Q.panel:
-        panel, ia, ib = P.panel, P.positions, Q.positions
-        positions = np.concatenate((ia, ib))
-        p, q = _aligned(ia, P.data, ib, Q.data, np.zeros(panel.n_items))
-    else:
-        ids = list(P)
-        n_p = len(ids)
-        ids.extend(k for k in Q if k not in P)
-        n = len(ids)
-        panel, positions = CountPanel(ids, (), (), (), ()), np.arange(n)
-        p = np.zeros(n)
-        p[:n_p] = np.fromiter(P.values(), dtype=np.float64, count=n_p)
-        q = np.fromiter(map(Q.get, ids, repeat(0.0)), dtype=np.float64, count=n)
-    keep = (p > 0.0) | (q > 0.0)
-    p, q = p[keep], q[keep]
-    if not (p.any() and q.any()):
-        raise ValueError(EMPTY_SUPPORT)
-    return panel, positions[keep], p, q
-
-
 def jsd_with_contributions(P, Q) -> tuple[DriftValue, ContributionBreakdown]:
     """JSD plus each item's additive share of it.
 
@@ -211,12 +182,8 @@ def jsd_with_contributions(P, Q) -> tuple[DriftValue, ContributionBreakdown]:
     ``total_bits`` is the exact partial sum. The two agree to ~1e-15.
     The ranking is ``CountPanel.rank`` by partial, then p + q.
     """
-    panel, union, p, q = _shares(P, Q)
-    parts = _partial_terms(p, q)
-    order = panel.rank(union, parts, p + q)
-    breakdown = ContributionBreakdown(panel.ids, union, parts, order, _fsum(parts))
-    value = _measure_value(Measure("jsd"), p, q, _fsum)
-    return DriftValue(value, JSD_BITS), breakdown
+    rows = _mapping_rows(Measure("jsd"), P, Q)
+    return DriftValue(rows.value(0, 1), JSD_BITS), rows.breakdown(0, 1)
 
 
 def jsd_alpha_normalized(P, Q, alpha: float) -> DriftValue:
@@ -292,75 +259,75 @@ def _combine(measure: Measure, side_p, side_q, pair) -> float:
     return min(max(value / maximum, 0.0), 1.0)
 
 
-def _measure_value(measure: Measure, p: np.ndarray, q: np.ndarray, total) -> float:
-    """The one kernel per measure, over aligned probability vectors."""
-    return _combine(
-        measure,
-        _side_term(measure, p, total),
-        _side_term(measure, q, total),
-        _pair_term(measure, p, q, total),
-    )
+def _mapping_rows(measure: Measure, P, Q) -> BinRows:
+    """Two plain mappings of item id to probability as rows 0 and 1 of one reader."""
+    return BinRows(measure, CountPanel.intern([P, Q], [1.0, 1.0]))
 
 
 def divergence_of(measure: Measure, P, Q) -> DriftValue:
     """``measure`` between two sparse distributions, over their union support."""
-    _, _, p, q = _shares(P, Q)
-    return DriftValue(_measure_value(measure, p, q, _fsum), measure.label)
+    return DriftValue(_mapping_rows(measure, P, Q).value(0, 1), measure.label)
 
 
-def divergence_of_arrays(
-    measure: Measure, p: np.ndarray, q: np.ndarray, exact: bool = False
-) -> float:
-    """``measure`` between two aligned probability vectors.
+def divergence_of_arrays(measure: Measure, p: np.ndarray, q: np.ndarray) -> float:
+    """``measure`` between two aligned probability vectors, summed with np.sum.
 
-    Bootstrap resamples sum with np.sum (``exact=False``), not math.fsum: a
-    pair's resamples all come in one fixed aligned order, so exact summation
-    buys no order independence there, and it would make each resample about
-    2.5x slower. Such a result agrees with ``divergence_of`` on the same
-    vectors to a few ulp, and exactly for Jaccard and alpha = 0. With
-    ``exact=True`` the sum is math.fsum and the result equals
-    ``divergence_of`` bit for bit.
+    Bootstrap resamples sum with np.sum, not math.fsum: a pair's resamples
+    all come in one fixed aligned order, so exact summation buys no order
+    independence there, and it would make each resample about 2.5x slower.
+    Such a result agrees with ``BinRows.value`` on the same vectors to a few
+    ulp, and exactly for Jaccard and alpha = 0.
     """
-    return _measure_value(measure, p, q, _fsum if exact else np.sum)
+    return _combine(
+        measure,
+        _side_term(measure, p, np.sum),
+        _side_term(measure, q, np.sum),
+        _pair_term(measure, p, q, np.sum),
+    )
 
 
 class BinRows:
-    """One view's distributions as sparse rows of one count panel.
+    """Distributions as sparse rows of one count panel: the one reader of a pair.
 
-    The panel comes from ``popularity.panel_of``: the distributions' own
-    shared panel when they are its rows, or else one interned once for the
-    view. Every row's probabilities count / total come from one division
-    over the panel's cells; a row's nonzero ones and its side term under
-    ``measure`` are cached on the row's first use, so a pair computes only
-    its pair term, over the rows ``_aligned`` through one reused scratch
-    vector. Values equal ``divergence_of`` on the normalized tables
-    bit for bit: the divisions and elementwise terms are the same, and both
-    sum them with math.fsum. Pairs share the scratch vector, so one object
-    must not be used from two threads at once.
+    Every row's probabilities count / total come from one division over the
+    panel's cells. For ``value``, a row's nonzero shares and its side term
+    under ``measure`` are cached on the row's first use, so a pair computes
+    only its pair term, over the rows ``_aligned`` through one reused
+    scratch vector. ``pair`` and ``breakdown`` align the whole rows, zeros
+    included, so that an item a row lists with no loans keeps its place.
+    Values equal ``divergence_of`` on the normalized tables bit for bit:
+    the divisions and elementwise terms are the same, and both sum them with
+    math.fsum. Pairs share the scratch vector, so one object must not be
+    used from two threads at once.
     """
 
-    def __init__(self, measure: Measure, dists: list[PopularityDistribution]):
-        """Row r is ``dists[r]``; the totals of the rows used must be positive.
+    def __init__(self, measure: Measure, panel: CountPanel):
+        """Row r is the panel's row r; the totals of the rows used must be positive.
 
         Callers check the totals where they can name the bin.
         """
         self.measure = measure
-        self._panel = panel = panel_of(dists)
+        self._panel = panel
         # one division over every cell: dividing row by row gives the same bits, but
         # in a fresh process it made the matrix 30% slower (33k vs 1k page faults)
         per_cell = np.repeat(np.asarray(panel.totals), np.diff(panel.offsets))
-        self._shares = panel.all_counts / per_cell
-        self._rows = [None] * len(dists)
+        self._cell_shares = panel.all_counts / per_cell
+        self._rows = [None] * len(panel.index)
         self._scratch = np.zeros(panel.n_items, dtype=np.float64)
+
+    def _full_row(self, r: int) -> np.ndarray:
+        """Row r's shares, zeros included, in the row's item order."""
+        offsets = self._panel.offsets
+        return self._cell_shares[offsets[r] : offsets[r + 1]]
 
     def _row(self, r: int):
         row = self._rows[r]
         if row is None:
-            panel = self._panel
-            p = self._shares[panel.offsets[r] : panel.offsets[r + 1]]
+            p = self._full_row(r)
             keep = p > 0.0
             p = p[keep]
-            row = self._rows[r] = (panel.index[r][keep], p, _side_term(self.measure, p, _fsum))
+            side = _side_term(self.measure, p, _fsum)
+            row = self._rows[r] = (self._panel.index[r][keep], p, side)
         return row
 
     def value(self, left: int, right: int) -> float:
@@ -371,3 +338,30 @@ class BinRows:
             raise ValueError(EMPTY_SUPPORT)
         p, q = _aligned(ia, p, ib, q, self._scratch)
         return _combine(self.measure, side_p, side_q, _pair_term(self.measure, p, q, _fsum))
+
+    def pair(self, left: int, right: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positions and aligned shares of rows ``left`` and ``right`` over their joint support.
+
+        The items are row left's, in its order (one it lists with no loans
+        keeps its place when row right has loans), then row right's others;
+        items with no loans in either row are dropped. The bootstrap's
+        multinomial categories come in this order.
+        """
+        ia, ib = self._panel.index[left], self._panel.index[right]
+        p, q = _aligned(ia, self._full_row(left), ib, self._full_row(right), self._scratch)
+        keep = (p > 0.0) | (q > 0.0)
+        p, q = p[keep], q[keep]
+        if not (p.any() and q.any()):
+            raise ValueError(EMPTY_SUPPORT)
+        return np.concatenate((ia, ib))[keep], p, q
+
+    def breakdown(self, left: int, right: int) -> ContributionBreakdown:
+        """Each item's partial JSD over rows ``left`` and ``right``, ranked, and their exact sum.
+
+        The ranking is ``CountPanel.rank`` by partial, then p + q. The
+        entropy-form value is not computed here; ``value`` gives it.
+        """
+        union, p, q = self.pair(left, right)
+        parts = _partial_terms(p, q)
+        order = self._panel.rank(union, parts, p + q)
+        return ContributionBreakdown(self._panel.ids, union, parts, order, _fsum(parts))

@@ -18,12 +18,14 @@ taken over that one array, so every ``jobs`` gives the same bits.
 
 No divergence formula lives here. ``plugin_divergence`` goes through
 ``divergence_of`` on the two ``normalize``d tables (exact fsum summation).
-The bootstrap takes the two tables' shares over their joint support once,
-from ``divergence._shares`` on two rows of their count panel
-(``panel_of``), the alignment every measure uses; its plug-in value (exact
-fsum, equal to ``plugin_divergence`` bit for bit) and each resample
-(np.sum) come from ``divergence_of_arrays``. All run the same kernel in
-divergence.py, so the bias correction subtracts like from like.
+The bootstrap reads the two tables as the two rows of one
+``divergence.BinRows`` over their count panel (``panel_of``), the reader
+every view uses: its plug-in value comes from ``BinRows.value`` (exact
+fsum, equal to ``plugin_divergence`` bit for bit) and the shares its
+resamples are drawn from, over the pair's joint support, from
+``BinRows.pair``. Each resample's value comes from ``divergence_of_arrays``
+(np.sum). All run the same kernel in divergence.py, so the bias correction
+subtracts like from like.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from . import _fork
-from .divergence import DriftValue, Measure, _shares, divergence_of, divergence_of_arrays
+from .divergence import BinRows, DriftValue, Measure, divergence_of, divergence_of_arrays
 from .popularity import PopularityDistribution, normalize, panel_of, require_loans
 
 DEFAULT_RESAMPLES = 500
@@ -58,6 +60,8 @@ class Estimator:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +104,9 @@ def bootstrap_divergence(
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
 
-    panel = panel_of([A, B])
-    _, _, pa, pb = _shares(panel.shares(0), panel.shares(1))
-    plugin = divergence_of_arrays(measure, pa, pb, exact=True)
+    rows = BinRows(measure, panel_of([A, B]))
+    _, pa, pb = rows.pair(0, 1)
+    plugin = rows.value(0, 1)
 
     draw = partial(_resample_block, measure, pa, pb, A.total, B.total, seed)
     workers = _fork.worker_count(jobs, n_resamples)

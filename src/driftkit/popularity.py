@@ -11,7 +11,9 @@ distribution's ``counts`` is a read-only mapping view of its row
 (`RowCounts`), iterating in the bin's own item order; a distribution built
 by hand from a plain mapping works everywhere too. Every consumer gets its
 panel from one function, `panel_of`, which returns the shared panel, or
-interns a list of hand-built distributions once.
+interns a list of hand-built distributions once. The views read relative
+popularity off the panel through `divergence.BinRows`, the one reader of a
+pair; `normalize` gives it as a plain dict, the input of the mapping API.
 
 Four rules live only here: `require_loans`, `normalize` (to a plain dict of
 item shares), `panel_of`, and `CountPanel.rank` (descending keys, then id),
@@ -99,9 +101,6 @@ class CountPanel:
     def n_items(self) -> int:
         return len(self.ids)
 
-    def shares(self, r: int) -> RowShares:
-        return RowShares(self, r)
-
     def select(self, rows: list[int]) -> CountPanel:
         """The given rows, in that order, over the same ids and id ranks."""
         return CountPanel(
@@ -188,16 +187,6 @@ class RowCounts(PositionMap):
 
     def __reduce__(self):
         return type(self), (self.panel, self.row)
-
-
-class RowShares(RowCounts):
-    """One panel row's relative popularity: item id to count / total, read-only."""
-
-    __slots__ = ()
-
-    def __init__(self, panel: CountPanel, row: int):
-        super().__init__(panel, row)
-        self.data = self.data / panel.totals[row]
 
 
 @dataclass

@@ -113,6 +113,8 @@ class SynthMarketSpec:
             raise ValueError("seasonal_multiplier must be finite and > 0")
         if self.loans_per_bin < 1 or self.n_bins < 1 or self.n_loaners < 1:
             raise ValueError("loans_per_bin, n_bins and n_loaners must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.start.day != 1:
             raise ValueError("start must be the first day of a month")
         if self.n_seasonal:

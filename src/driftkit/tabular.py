@@ -17,7 +17,7 @@ from typing import Iterable
 from .analysis import N_GROUPS, DriftMatrix, DriftSeries, TrajectoryPanel, group_of_rank
 from .canon import CanonicalCatalog
 from .divergence import ContributionBreakdown
-from .events import open_table, table_rows
+from .events import SchemaError, open_table, table_rows
 from .forecast import ForecastReport
 from .popularity import PopularityDistribution, panel_of
 
@@ -85,13 +85,24 @@ def write_mapping(path: Path, mapping: dict[str, str]):
 
 
 def read_mapping(path: Path) -> CanonicalCatalog:
-    """The catalog `write_mapping` wrote: item_key,canonical_id rows, neither empty."""
+    """The catalog `write_mapping` wrote: item_key,canonical_id rows, neither empty.
+
+    A key mapped to two canonical ids is a SchemaError naming both rows'
+    PATH:LINE; a repeated identical row is accepted.
+    """
     missing = "catalog {path}: expected columns item_key,canonical_id"
     names = ("item_key", "canonical_id")
     handle, reader, cols = open_table(path, {c: c for c in names}, names, missing)
     i_key, i_cid = cols["item_key"], cols["canonical_id"]
-    rows = table_rows(path, handle, reader, max(i_key, i_cid) + 1, missing, cols.items())
-    mapping = {row[i_key]: row[i_cid] for row in rows}
+    mapping, lines = {}, {}
+    for row in table_rows(path, handle, reader, max(i_key, i_cid) + 1, missing, cols.items()):
+        key, cid = row[i_key], row[i_cid]
+        if mapping.setdefault(key, cid) != cid:
+            raise SchemaError(
+                f"{path}:{lines[key]} and {path}:{reader.line_num}: item_key {key!r} "
+                f"mapped to both {mapping[key]!r} and {cid!r}"
+            )
+        lines.setdefault(key, reader.line_num)
     groups: dict[str, list[str]] = {}
     for key, cid in mapping.items():
         groups.setdefault(cid, []).append(key)

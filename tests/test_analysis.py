@@ -20,6 +20,7 @@ from driftkit.analysis import (
 )
 from driftkit.divergence import BinRows, Measure
 from driftkit.estimators import Estimator, plugin_jsd
+from driftkit.popularity import panel_of
 
 from conftest import dist
 
@@ -116,7 +117,7 @@ class TestDriftMatrix:
         matrix = drift_matrix(dists).values
         order = list(range(len(dists)))
         random.Random(5).shuffle(order)  # interning order
-        rows = BinRows(Measure("jsd"), [dists[k] for k in order])
+        rows = BinRows(Measure("jsd"), panel_of([dists[k] for k in order]))
         row_of = {k: r for r, k in enumerate(order)}
         cells = [(i, j) for i in range(len(dists)) for j in range(len(dists)) if i != j]
         random.Random(6).shuffle(cells)

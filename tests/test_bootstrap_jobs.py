@@ -144,10 +144,9 @@ def _resample_inputs():
     calls = []
     real = estimators.divergence_of_arrays
 
-    def record(measure, p, q, exact=False):
-        if not exact:
-            calls.append((p.copy(), q.copy()))
-        return real(measure, p, q, exact)
+    def record(measure, p, q):
+        calls.append((p.copy(), q.copy()))
+        return real(measure, p, q)
 
     with patch.object(estimators, "divergence_of_arrays", record):
         bootstrap_divergence(*PAIR, n_resamples=N, seed=11)
@@ -160,11 +159,11 @@ def failing_kernel(failures: dict[int, BaseException]):
     inputs = _resample_inputs()
     real = estimators.divergence_of_arrays
 
-    def kernel(measure, p, q, exact=False):
+    def kernel(measure, p, q):
         for b, error in failures.items():
             if np.array_equal(p, inputs[b][0]) and np.array_equal(q, inputs[b][1]):
                 raise error
-        return real(measure, p, q, exact)
+        return real(measure, p, q)
 
     return kernel
 
@@ -263,12 +262,12 @@ from driftkit.cli import main
 real = estimators.divergence_of_arrays
 calls = 0
 
-def kernel(measure, p, q, exact=False):
+def kernel(measure, p, q):
     global calls
     calls += 1  # counted per process: fails once in the parent and in every child
     if calls == 4:
         raise ValueError("kernel failed")
-    return real(measure, p, q, exact)
+    return real(measure, p, q)
 
 print("before the run", end="")  # left in the stdout buffer across the fork
 with patch.object(_fork, "usable_cores", lambda: 4):

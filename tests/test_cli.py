@@ -334,8 +334,10 @@ class TestExitCodes:
             ("item_key,canonical_id\nK0000002,K0000001\nK0000064,\n",
              "{path}:3: empty canonical_id"),
             ("item_key,canonical_id\n,K0000001\n", "{path}:2: empty item_key"),
+            ("item_key,canonical_id\nK0000001,K0000001\nK0000001,K0000064\n",
+             "{path}:2 and {path}:3: item_key 'K0000001' mapped to both 'K0000001' and 'K0000064'"),
         ],
-        ids=["no-rows", "rows", "short-row", "empty-canonical-id", "empty-item-key"],
+        ids=["no-rows", "rows", "short-row", "empty-canonical-id", "empty-item-key", "key-twice"],
     )
     def test_catalog_without_mapping_columns_is_data_error(
         self, tmp_path, capsys, catalog, message
@@ -348,6 +350,28 @@ class TestExitCodes:
         )
         assert code == 2
         assert message.format(path=path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_identical_catalog_row_is_accepted(self, tmp_path):
+        path = tmp_path / "mapping.csv"
+        path.write_text("item_key,canonical_id\nK0000002,K0000001\nK0000002,K0000001\n")
+        argv = ("--catalog", str(path), "--output-dir", str(tmp_path / "out"))
+        assert run("drift", "local", "--input", str(FIXTURE), *argv) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("drift", "local", "--estimator", "bootstrap", "--input", "absent.csv", "--output-dir"),
+            ("drift", "local", "--input", "absent.csv", "--output-dir"),
+            ("synth", "--out"),
+        ],
+        ids=["drift-bootstrap", "drift-plugin", "synth"],
+    )
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # the log does not exist: the seed is rejected before it is read
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "out", "--seed", "-1") == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("age_range", ["46-30", "30-30"])

@@ -1,7 +1,7 @@
 """Properties of the one kernel per measure and the one ranking rule.
 
-``divergence_of`` (exact fsum), the plug-in views' per-view rows (exact
-fsum) and the bootstrap's array call (np.sum) run the same kernels; these
+``divergence_of`` and the views' one reader ``BinRows`` (exact fsum) and
+the bootstrap's array call (np.sum) run the same kernels; these
 checks tie them together, pin their order independence and hold them to
 the plain-dict references of ``tests/reference.py``, which import none of
 it. The contribution ranking is checked on the same random count tables,
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from driftkit.analysis import (
     TopGlobalContrib,
+    build_group_schedule,
     contribution_pairs,
     drift_matrix,
     global_drift,
@@ -33,7 +34,6 @@ from driftkit.analysis import (
 from driftkit.divergence import (
     BinRows,
     Measure,
-    _shares,
     divergence_of,
     divergence_of_arrays,
     jsd,
@@ -82,14 +82,15 @@ def test_one_kernel_per_measure(counts_a, counts_b, seed):
         dist(shuffled(counts_b, seed + 1))
     )
     panel = panel_of([A, B])
-    _, _, p, q = _shares(panel.shares(0), panel.shares(1))
     for measure in MEASURES:
         value = divergence_of(measure, P, Q).value
         assert divergence_of(measure, Q, P).value == value
         assert divergence_of(measure, Q_shuffled, P_shuffled).value == value
         assert 0.0 <= value <= 1.0
 
-        assert divergence_of_arrays(measure, p, q, exact=True) == value
+        rows = BinRows(measure, panel)  # the bootstrap's plug-in value and resampled shares
+        _, p, q = rows.pair(0, 1)
+        assert rows.value(0, 1) == value
         resample = divergence_of_arrays(measure, p, q)
         if measure in EXACT:
             assert resample == value
@@ -241,19 +242,19 @@ def row_sources(draw):
 @settings(max_examples=150, deadline=None)
 @given(row_sources(), st.data())
 def test_one_alignment_of_two_rows(sources, data):
-    """Every pair meets in ``_aligned``: the reference union, shares, and a clean scratch.
+    """Every pair meets in ``BinRows``: the reference union, shares, and a clean scratch.
 
     The union holds the items with a loan in the pair: P's, in P's order
     (an item P lists with no loans keeps its place when Q has loans), then
-    Q's others. ``_shares`` gives it for two panel rows and for two
-    normalized mappings, and ``BinRows`` gives ``divergence_of``'s value
-    bit for bit.
+    Q's others. ``BinRows.pair`` gives it for two rows of the view's panel
+    and for two normalized mappings interned as the mapping API does, and
+    ``BinRows.value`` gives ``divergence_of``'s value bit for bit.
     """
     for dists in sources:
         if len(dists) < 2:
             continue
         panel = panel_of(dists)
-        views = [BinRows(measure, dists) for measure in MEASURES]
+        views = [BinRows(measure, panel) for measure in MEASURES]
         for _ in range(3):
             i = data.draw(st.integers(0, len(dists) - 1), label="left")
             j = data.draw(st.integers(0, len(dists) - 1), label="right")
@@ -262,10 +263,13 @@ def test_one_alignment_of_two_rows(sources, data):
             union += [k for k, c in B.counts.items() if c > 0 and k not in A.counts]
             p = [A.counts.get(k, 0) / A.total for k in union]
             q = [B.counts.get(k, 0) / B.total for k in union]
-            for pair in ((panel.shares(i), panel.shares(j)), (normalize(A), normalize(B))):
-                aligned, positions, pa, qa = _shares(*pair)
+            mapped = CountPanel.intern([normalize(A), normalize(B)], [1.0, 1.0])
+            readers = ((views[0], panel, i, j), (BinRows(MEASURES[0], mapped), mapped, 0, 1))
+            for rows, aligned, left, right in readers:
+                positions, pa, qa = rows.pair(left, right)
                 assert aligned.ids[positions].tolist() == union
                 assert (pa.tolist(), qa.tolist()) == (p, q)
+                assert not rows._scratch.any()
             for measure, rows in zip(MEASURES, views):
                 value = divergence_of(measure, normalize(A), normalize(B)).value
                 assert rows.value(i, j) == value
@@ -291,10 +295,19 @@ def test_empty_bin_raises_as_the_pair_loop_did(dists, data):
     for k in empty:
         dists[k] = PopularityDistribution(dists[k].bin, "all", {}, 0)
     b = data.draw(st.integers(min_value=0, max_value=n - 1), label="baseline")
+    baseline, at = dists[b].bin.label, min(empty - {b}, default=(b + 1) % n)  # an empty pair
+    local, glob = [(t - 1, t) for t in range(1, n)], [(b, t) for t in range(n) if t != b]
     views = [
-        (lambda: local_drift(dists), [(t - 1, t) for t in range(1, n)]),
-        (lambda: global_drift(dists, dists[b].bin.label), [(b, t) for t in range(n) if t != b]),
+        (lambda: local_drift(dists), local),
+        (lambda: global_drift(dists, baseline), glob),
         (lambda: drift_matrix(dists), [(i, j) for i in range(n) for j in range(i + 1, n)]),
+        (lambda: list(contribution_pairs(dists, "local")), local),
+        (lambda: list(contribution_pairs(dists, "global", baseline)), glob),
+        (lambda: build_group_schedule(dists), local),
+        (
+            lambda: trajectory_panel(dists, TopGlobalContrib(1, dists[at].bin.label, baseline)),
+            [(b, at)],
+        ),
     ]
     for view, pairs in views:
         expected = _pair_loop_error(dists, pairs)
