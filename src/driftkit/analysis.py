@@ -13,15 +13,16 @@ checked for loans (``_rows``): a plug-in series or matrix takes each pair's
 ``value``, and ``contribution_pairs`` and ``contribution_groups`` each
 pair's ``breakdown``. ``TopGlobalContrib`` reads its one pair through
 ``jsd_with_contributions`` on the two normalized bins, which builds a
-two-row reader of its own. So do bootstrap views, from each pair's two
-count tables (``bootstrap_divergence``).
+two-row reader of its own, until the benchmark times ``BinRows`` (ROADMAP
+item 1). So do bootstrap views, from each pair's two count tables
+(``bootstrap_divergence``).
 
 The decomposition stays on panel positions. ``BinRows.breakdown`` gives a
 pair's union positions, partials and ranking order as arrays; a pair's
 groups are a ``popularity.PositionMap`` of its ranked positions to their
 groups (each band a contiguous slice of the order); ``transition_matrix``
 tallies each consecutive pair with one bincount, and ``TopGlobalContrib``
-keeps the first k ranked positions. Item ids are read only where a caller
+keeps the positions of the first k ranked items. Item ids are read only where a caller
 asks for them. The other selectors' totals and peaks are bincounts over the
 rows.
 
@@ -99,11 +100,14 @@ def _earlier_first(dists: list[PopularityDistribution], i: int, j: int) -> tuple
     return (j, i) if dists[i].bin.index > dists[j].bin.index else (i, j)
 
 
-def _require_loans(dists: list[PopularityDistribution], pairs: list[tuple[int, int]]):
-    """Reject an empty bin of ``pairs``, the one a pair-by-pair loop would meet first.
+def _rows(
+    dists: list[PopularityDistribution], pairs: list[tuple[int, int]], measure: Measure
+) -> BinRows:
+    """The view's one reader: its bins as rows of their count panel, read by position.
 
     Bins are checked in the order the pairs first reach them, earlier bin
-    first within a pair, before any of their cells is divided.
+    first within a pair, so the empty bin reported is the one a pair-by-pair
+    loop would meet first, before any of their cells is divided.
     """
     checked = set()
     for i, j in pairs:
@@ -111,13 +115,6 @@ def _require_loans(dists: list[PopularityDistribution], pairs: list[tuple[int, i
             if k not in checked:
                 require_loans(dists[k])
                 checked.add(k)
-
-
-def _rows(
-    dists: list[PopularityDistribution], pairs: list[tuple[int, int]], measure: Measure
-) -> BinRows:
-    """The view's one reader: its bins as rows of their count panel, read by position."""
-    _require_loans(dists, pairs)
     return BinRows(measure, panel_of(dists))
 
 
@@ -372,14 +369,14 @@ def trajectory_panel(
         t = find_bin(bins, selector.at)
         if t == b:
             raise ValueError(f"bin {selector.at} is the baseline; contributions need another bin")
-        _require_loans(dists, [(b, t)])
-        # its one pair goes through the mapping API, the call bench/tracing.py times
-        # as the divergence layer; that API's panel lists b's items, then t's
-        # others, so ``ids`` are its ids as positions into this panel
-        _, breakdown = jsd_with_contributions(normalize(dists[b]), normalize(dists[t]))
-        ib, it = panel.index[b], panel.index[t]
-        ids = np.concatenate((ib, it[~np.isin(it, ib)]))
-        selected = ids[breakdown.union[breakdown.order[: selector.k]]]
+        # its one pair goes through the mapping API until bench/tracing.py times
+        # BinRows: the benchmark's divergence layer is this call (ROADMAP item 1)
+        shares = {k: normalize(dists[k]) for k in _earlier_first(dists, b, t)}
+        _, breakdown = jsd_with_contributions(shares[b], shares[t])
+        top = breakdown.ranking[: selector.k]
+        pair = np.concatenate((panel.index[b], panel.index[t]))
+        position = dict(zip(panel.ids[pair].tolist(), pair.tolist()))
+        selected = np.fromiter(map(position.__getitem__, top), dtype=np.intp, count=len(top))
     elif isinstance(selector, TopTotal):
         positions, loans = panel.all_index, panel.all_counts
         present = np.bincount(positions, minlength=panel.n_items) > 0

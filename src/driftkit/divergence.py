@@ -19,19 +19,20 @@ sum or the support size), a pair term over the union support (the same side
 term of the midpoint, or the shared support size), and their combination.
 
 ``BinRows`` is the one reader of a pair. It reads distributions as rows of
-one count panel (``popularity.CountPanel``), divides every cell once, and
-is the only caller of ``_aligned``, which lays two rows side by side: row
-a's items, then row b's, with b's shares gathered onto a's items through a
-scratch vector of length n_items. It has three steps. ``value`` caches each
-row's nonzero shares and side term, so a pair pays only for its pair term;
-the series and the matrix read it. ``pair`` gives a pair's panel positions
-and aligned shares over its joint support, the items with a positive share
-on some side; the bootstrap draws its resamples over them. ``breakdown``
-gives the pair's partials, ranked, with their exact sum; the decomposition
-views read it. The mapping API (``divergence_of``, the per-measure
-functions and ``jsd_with_contributions``) takes two plain mappings of item
-id to probability (``popularity.normalize``) as the two rows of a panel
-interned with totals 1.0, and reads them the same way. Every value sums
+one count panel (``popularity.CountPanel``) and is the only caller of
+``_aligned``, which lays two rows side by side: row a's items, then row
+b's, with b's shares gathered onto a's items through a scratch vector of
+length n_items. It has three steps. ``value`` divides every cell once and
+caches each row's nonzero shares and side term, so a pair pays only for its
+pair term; the series and the matrix read it. ``pair`` divides just its two
+rows and gives their panel positions and aligned shares over the joint
+support, the items with a positive share on some side; the bootstrap draws
+its resamples over them. ``breakdown`` gives the pair's partials, ranked,
+with their exact sum; the decomposition views read it. The mapping API
+(``divergence_of``, the per-measure functions and
+``jsd_with_contributions``) takes two plain mappings of item id to
+probability (``popularity.normalize``) as the two rows of a panel interned
+with totals 1.0, and reads them the same way. Every value sums
 with math.fsum: exact summation makes results independent of key order, so
 symmetry holds bit-exactly, a view equals ``divergence_of`` bit for bit and
 pinned outputs stay byte-identical. Bootstrap resamples go through
@@ -289,11 +290,12 @@ def divergence_of_arrays(measure: Measure, p: np.ndarray, q: np.ndarray) -> floa
 class BinRows:
     """Distributions as sparse rows of one count panel: the one reader of a pair.
 
-    Every row's probabilities count / total come from one division over the
-    panel's cells. For ``value``, a row's nonzero shares and its side term
-    under ``measure`` are cached on the row's first use, so a pair computes
-    only its pair term, over the rows ``_aligned`` through one reused
-    scratch vector. ``pair`` and ``breakdown`` align the whole rows, zeros
+    A row's probabilities are its counts / its total. For ``value``, they
+    come from one division over all the panel's cells, on the first value
+    read, and a row's nonzero shares and its side term under ``measure`` are
+    cached on the row's first use, so a pair computes only its pair term,
+    over the rows ``_aligned`` through one reused scratch vector. ``pair``
+    and ``breakdown`` divide just their two rows and align them whole, zeros
     included, so that an item a row lists with no loans keeps its place.
     Values equal ``divergence_of`` on the normalized tables bit for bit:
     the divisions and elementwise terms are the same, and both sum them with
@@ -308,26 +310,30 @@ class BinRows:
         """
         self.measure = measure
         self._panel = panel
-        # one division over every cell: dividing row by row gives the same bits, but
-        # in a fresh process it made the matrix 30% slower (33k vs 1k page faults)
-        per_cell = np.repeat(np.asarray(panel.totals), np.diff(panel.offsets))
-        self._cell_shares = panel.all_counts / per_cell
+        self._cell_shares = None
         self._rows = [None] * len(panel.index)
         self._scratch = np.zeros(panel.n_items, dtype=np.float64)
 
     def _full_row(self, r: int) -> np.ndarray:
         """Row r's shares, zeros included, in the row's item order."""
-        offsets = self._panel.offsets
-        return self._cell_shares[offsets[r] : offsets[r + 1]]
+        return self._panel.counts[r] / self._panel.totals[r]
 
     def _row(self, r: int):
         row = self._rows[r]
         if row is None:
-            p = self._full_row(r)
+            panel = self._panel
+            if self._cell_shares is None:
+                # one division over every cell: dividing row by row gives the same bits,
+                # but in a fresh process it made the matrix 30% slower (33k vs 1k page
+                # faults); ``pair`` divides just its two rows, so a decomposition view
+                # holds no copy of every cell
+                per_cell = np.repeat(np.asarray(panel.totals), np.diff(panel.offsets))
+                self._cell_shares = panel.all_counts / per_cell
+            p = self._cell_shares[panel.offsets[r] : panel.offsets[r + 1]]
             keep = p > 0.0
             p = p[keep]
             side = _side_term(self.measure, p, _fsum)
-            row = self._rows[r] = (self._panel.index[r][keep], p, side)
+            row = self._rows[r] = (panel.index[r][keep], p, side)
         return row
 
     def value(self, left: int, right: int) -> float:

@@ -34,6 +34,7 @@ from driftkit.analysis import (
 from driftkit.divergence import (
     BinRows,
     Measure,
+    _partial_terms,
     divergence_of,
     divergence_of_arrays,
     jsd,
@@ -246,9 +247,10 @@ def test_one_alignment_of_two_rows(sources, data):
 
     The union holds the items with a loan in the pair: P's, in P's order
     (an item P lists with no loans keeps its place when Q has loans), then
-    Q's others. ``BinRows.pair`` gives it for two rows of the view's panel
-    and for two normalized mappings interned as the mapping API does, and
-    ``BinRows.value`` gives ``divergence_of``'s value bit for bit.
+    Q's others. ``BinRows.pair`` gives it for two rows of the view's panel,
+    ``jsd_with_contributions`` on the two normalized mappings lists its
+    ``partials`` in it, and ``BinRows.value`` gives ``divergence_of``'s value
+    bit for bit.
     """
     for dists in sources:
         if len(dists) < 2:
@@ -263,13 +265,14 @@ def test_one_alignment_of_two_rows(sources, data):
             union += [k for k, c in B.counts.items() if c > 0 and k not in A.counts]
             p = [A.counts.get(k, 0) / A.total for k in union]
             q = [B.counts.get(k, 0) / B.total for k in union]
-            mapped = CountPanel.intern([normalize(A), normalize(B)], [1.0, 1.0])
-            readers = ((views[0], panel, i, j), (BinRows(MEASURES[0], mapped), mapped, 0, 1))
-            for rows, aligned, left, right in readers:
-                positions, pa, qa = rows.pair(left, right)
-                assert aligned.ids[positions].tolist() == union
-                assert (pa.tolist(), qa.tolist()) == (p, q)
-                assert not rows._scratch.any()
+            positions, pa, qa = views[0].pair(i, j)
+            assert panel.ids[positions].tolist() == union
+            assert (pa.tolist(), qa.tolist()) == (p, q)
+            assert not views[0]._scratch.any()
+            breakdown = jsd_with_contributions(normalize(A), normalize(B))[1]
+            assert list(breakdown.partials) == union
+            reference = _partial_terms(np.array(p), np.array(q)).tolist()
+            assert list(breakdown.partials.values()) == reference
             for measure, rows in zip(MEASURES, views):
                 value = divergence_of(measure, normalize(A), normalize(B)).value
                 assert rows.value(i, j) == value
