@@ -79,14 +79,38 @@ def normalize(item_key: str, title: str, creator: str) -> RawItem:
 
 
 def edit_distance_at_most(a: str, b: str, limit: int) -> bool:
-    """Levenshtein distance with unit costs, early-exited at the limit."""
+    """Levenshtein distance with unit costs, early-exited at the limit.
+
+    Limit 1, the canonicalizer's, compares slices, not characters. Strings
+    whose last characters differ can hold their one edit only at the end;
+    most pairs of sorted neighbours end that way. Otherwise, with ``b`` the
+    longer string by ``shift`` characters, ``a`` and ``b`` agree outside a
+    span ``[lo, hi)`` of ``a`` (past ``hi``, ``b`` shifted by ``shift``).
+    Each step halves the span and keeps the half that disagrees; a span
+    whose halves both disagree holds two edits.
+    """
     if a == b:
         return True
+    if len(a) > len(b):
+        a, b = b, a
     la, lb = len(a), len(b)
-    if abs(la - lb) > limit:
+    shift = lb - la
+    if shift > limit:
         return False
     if limit == 1:
-        return _within_one(a, b)
+        if a[-1:] != b[-1:]:
+            return a[: lb - 1] == b[: lb - 1]
+        lo, hi = 0, la
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if a[lo:mid] == b[lo:mid]:
+                lo = mid
+            elif a[mid:hi] == b[mid + shift : hi + shift]:
+                hi = mid
+            else:
+                return False
+        # one substitution, or a[lo:hi] (at most one character) is b[lo] or b[lo + 1]
+        return not shift or a[lo:hi] in b[lo : hi + 1]
     prev = list(range(lb + 1))
     for i in range(1, la + 1):
         best = cur0 = i
@@ -102,25 +126,6 @@ def edit_distance_at_most(a: str, b: str, limit: int) -> bool:
             return False
         prev = row
     return prev[lb] <= limit
-
-
-def _within_one(a: str, b: str) -> bool:
-    la, lb = len(a), len(b)
-    if la == lb:
-        seen = False
-        for x, y in zip(a, b):
-            if x != y:
-                if seen:
-                    return False
-                seen = True
-        return True
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
-    # one insertion into a
-    i = 0
-    while i < la and a[i] == b[i]:
-        i += 1
-    return a[i:] == b[i + 1 :]
 
 
 def candidate_pairs(

@@ -137,8 +137,15 @@ class CountPanel:
         return order
 
     def top(self, scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
-        """Positions of the k candidate items ranked first by descending score, then id."""
+        """Positions of the k candidate items ranked first by descending score, then id.
+
+        Only the candidates scoring at least the k-th largest score, ties
+        included, are ranked.
+        """
         where = np.flatnonzero(candidates)
+        if 0 < k < len(where):
+            score = scores[where]
+            where = where[score >= np.partition(score, -k)[-k]]
         return where[self.rank(where, scores[where])[:k]]
 
 

@@ -16,7 +16,9 @@ of a top item would swamp the series with single-rank noise.
 
 `generate` writes every log row from one template: the loan day, the item's
 four fields (key, title, creator, category), the medium and the loaner's five
-fields, under the header `events.DEFAULT_SCHEMA` declares.
+fields, under the header `events.DEFAULT_SCHEMA` declares. Each of those
+pieces is rendered to CSV text once, with `csv.writer`'s own quoting, and a
+row is written as one string of pieces, the bytes `csv.writer` would write.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .divergence import jsd
 from .events import DEFAULT_SCHEMA, TimeBin, assign_bin, bin_from_index, find_bin
 from .popularity import CountPanel, PopularityDistribution, on_panel
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_TRIPLED = [c * 3 for c in "abcdefghijklmnopqrstuvwxyz"]
 
 
 @dataclass
@@ -136,18 +139,14 @@ def item_id(index: int) -> str:
     return f"K{index:07d}"
 
 
-def _alpha_code(index: int) -> str:
-    chars = []
+def item_title(index: int) -> str:
+    # five base-26 letters, each tripled, so distinct items are always >= 3
+    # edits apart and the canonicalizer keeps them separate
+    letters = []
     for _ in range(5):
         index, rem = divmod(index, 26)
-        chars.append(_LETTERS[rem])
-    return "".join(reversed(chars))
-
-
-def item_title(index: int) -> str:
-    # letters tripled, so distinct items are always >= 3 edits apart and the
-    # canonicalizer keeps them separate
-    return "".join(c * 3 for c in _alpha_code(index))
+        letters.append(_TRIPLED[rem])
+    return "".join(reversed(letters))
 
 
 def item_creator(index: int) -> str:
@@ -293,15 +292,31 @@ def _loaner_pool(spec: SynthMarketSpec, rng) -> list[tuple[str, str, str, str, s
     hi = np.array([b[1] for b in bands], dtype=np.float64)
     age_days = (lo[band_idx] + (hi - lo)[band_idx] * rng.random(n)) * 365.25
     start_ord = spec.start.toordinal()
-    birth = [date.fromordinal(int(start_ord - d)).isoformat() for d in age_days]
+    ordinals = (start_ord - age_days).astype(np.int64).tolist()  # truncated, as int() does
+    birth = [date.fromordinal(o).isoformat() for o in ordinals]
 
     def pick(weights):
         codes = _weighted_codes(rng, weights, n)
         values = [v for v, _ in weights]
-        return [values[c] for c in codes]
+        return [values[c] for c in codes.tolist()]
 
     ids = [f"L{i:06d}" for i in range(n)]
     return list(zip(ids, birth, pick(mix.sex), pick(mix.education), pick(mix.residence)))
+
+
+def _csv_renderer():
+    r"""A function giving fields as `csv.writer` writes them inside a row.
+
+    The text has no row end. The fields are written with one more, empty
+    field, whose ``,`` is cut off with the ``\r\n`` row end: `csv.writer`
+    quotes a row whose only field is empty (``""``) but writes an empty
+    field inside a longer row as nothing. The writer keeps its ``\r\n``
+    line terminator, since it quotes a field holding ``\r`` or ``\n`` only
+    when that character is in its terminator.
+    """
+    # writerow returns what its file's write returns; str returns the row
+    writer = csv.writer(SimpleNamespace(write=str))
+    return lambda fields: writer.writerow((*fields, ""))[:-3]
 
 
 @dataclass
@@ -317,10 +332,13 @@ def generate(
     events_path: str | Path,
     truth_path: str | Path | None = None,
 ) -> GenerateResult:
-    """Write a synthetic event log (and optional truth sidecar) to disk.
+    r"""Write a synthetic event log (and optional truth sidecar) to disk.
 
     Every row is one template, ``(day, *item_fields(item), medium, *loaner)``,
-    streamed to the writer under the header of `events.DEFAULT_SCHEMA`.
+    under the header of `events.DEFAULT_SCHEMA`. Each day, item, medium and
+    loaner is rendered to CSV text once, with `csv.writer`'s quoting, and
+    each row is written as one string of those pieces ended by ``\r\n``,
+    byte for byte what `csv.writer` writes for the row's fields.
     Event tallies per bin equal the sampled multinomial counts exactly, so
     aggregating the file reproduces the distributions returned here.
     """
@@ -333,17 +351,20 @@ def generate(
     item_category = [
         cat_values[c] for c in _weighted_codes(cat_rng, spec.category_weights, total_items)
     ]
-    medium_values = [m for m, _ in spec.medium_weights]
+    render = _csv_renderer()
+    medium_text = [render((m,)) for m, _ in spec.medium_weights]
 
     @cache
-    def item_fields(idx: int) -> tuple[str, str, str, str]:
-        return (item_id(idx), item_title(idx), item_creator(idx), item_category[idx])
+    def item_text(idx: int) -> str:
+        title = item_title(idx)  # item_creator(idx) is "w" + title
+        return render((item_id(idx), title, "w" + title, item_category[idx]))
+
+    loaner_text = [render(loaner) for loaner in pool]
 
     events_path = Path(events_path)
     dists, draws = _sampled_bins(spec, truth, bins_ss)
     with open(events_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DEFAULT_SCHEMA.values())
+        fh.write(render(DEFAULT_SCHEMA.values()) + "\r\n")
         for b, (drawn, drawn_counts, events_ss) in zip(truth.bins, draws):
             ev_rng = np.random.default_rng(events_ss)
             n = spec.loans_per_bin
@@ -357,9 +378,9 @@ def generate(
             loaners = ev_rng.integers(0, spec.n_loaners, size=n)[order]
             media = _weighted_codes(ev_rng, spec.medium_weights, n)[order]
 
-            day_str = [(b.start + timedelta(days=d)).isoformat() for d in range(n_days)]
-            writer.writerows(
-                (day_str[day], *item_fields(idx), medium_values[med], *pool[who])
+            day_text = [(b.start + timedelta(days=d)).isoformat() for d in range(n_days)]
+            fh.writelines(
+                f"{day_text[day]},{item_text(idx)},{medium_text[med]},{loaner_text[who]}\r\n"
                 for idx, day, who, med in zip(
                     items.tolist(), days.tolist(), loaners.tolist(), media.tolist()
                 )
@@ -368,14 +389,17 @@ def generate(
     truth_file = None
     if truth_path is not None:
         truth_file = Path(truth_path)
+        prob_text = {}  # every bin's weights are one of two arrays, base or active
         with open(truth_file, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_start", "canonical_id", "true_probability"])
-            for i, b in enumerate(truth.bins):
-                occ = truth.occupants[i].tolist()
-                probs = truth.weights[i].tolist()
-                writer.writerows(
-                    (b.label, item_id(idx), repr(p)) for idx, p in zip(occ, probs)
+            # no field needs quoting: ISO dates, item ids and float reprs
+            fh.write("bin_start,canonical_id,true_probability\r\n")
+            for b, occ, w in zip(truth.bins, truth.occupants, truth.weights):
+                if id(w) not in prob_text:
+                    prob_text[id(w)] = [repr(p) for p in w.tolist()]
+                label = b.label
+                fh.writelines(
+                    f"{label},{item_id(idx)},{p}\r\n"
+                    for idx, p in zip(occ.tolist(), prob_text[id(w)])
                 )
 
     return GenerateResult(events_path, truth_file, truth, dists)

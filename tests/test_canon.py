@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftkit.canon import (
     build_catalog,
@@ -47,6 +49,23 @@ class TestNormalize:
         assert c.edition == 2
 
 
+def levenshtein(a, b):
+    la, lb = len(a), len(b)
+    dp = [[0] * (lb + 1) for _ in range(la + 1)]
+    for i in range(la + 1):
+        dp[i][0] = i
+    for j in range(lb + 1):
+        dp[0][j] = j
+    for i in range(1, la + 1):
+        for j in range(1, lb + 1):
+            dp[i][j] = min(
+                dp[i - 1][j] + 1,
+                dp[i][j - 1] + 1,
+                dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+            )
+    return dp[la][lb]
+
+
 class TestEditDistance:
     @pytest.mark.parametrize(
         "a,b,limit,expected",
@@ -66,28 +85,34 @@ class TestEditDistance:
         assert edit_distance_at_most(a, b, limit) is expected
 
     def test_agrees_with_reference(self, rng):
-        def reference(a, b):
-            la, lb = len(a), len(b)
-            dp = [[0] * (lb + 1) for _ in range(la + 1)]
-            for i in range(la + 1):
-                dp[i][0] = i
-            for j in range(lb + 1):
-                dp[0][j] = j
-            for i in range(1, la + 1):
-                for j in range(1, lb + 1):
-                    dp[i][j] = min(
-                        dp[i - 1][j] + 1,
-                        dp[i][j - 1] + 1,
-                        dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
-                    )
-            return dp[la][lb]
-
         letters = "ab"
         for _ in range(300):
             a = "".join(rng.choice(list(letters), size=rng.integers(0, 6)))
             b = "".join(rng.choice(list(letters), size=rng.integers(0, 6)))
             for limit in (1, 2):
-                assert edit_distance_at_most(a, b, limit) == (reference(a, b) <= limit)
+                assert edit_distance_at_most(a, b, limit) == (levenshtein(a, b) <= limit)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_limit_one_agrees_with_reference(self, data):
+        # the canonicalizer's limit takes the slice path; b is a with up to two
+        # edits, so equal strings and length gaps of 0, 1 and 2 all occur
+        text = st.text(st.sampled_from("ab é中"), max_size=40)
+        a = data.draw(text, label="a")
+        b = a
+        for _ in range(data.draw(st.integers(0, 2), label="edits")):
+            at = data.draw(st.integers(0, len(b)), label="at")
+            kind = data.draw(st.sampled_from(["insert", "delete", "substitute"]), label="kind")
+            new = data.draw(st.sampled_from("ab é中"), label="char")
+            if kind == "insert":
+                b = b[:at] + new + b[at:]
+            else:
+                b = b[:at] + (new if kind == "substitute" else "") + b[at + 1 :]
+        if data.draw(st.booleans(), label="unrelated"):
+            b = data.draw(text, label="b")
+        want = levenshtein(a, b) <= 1
+        assert edit_distance_at_most(a, b, 1) is want
+        assert edit_distance_at_most(b, a, 1) is want
 
 
 def _item(key, title, creator="same writer"):

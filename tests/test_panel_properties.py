@@ -207,6 +207,25 @@ def test_rank_is_a_sort_by_descending_keys_then_id(market, k, data):
     assert panel.rank(np.array(positions, dtype=np.intp), *keys).tolist() == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_top_is_the_first_k_of_the_full_ranking(data):
+    n = data.draw(st.integers(0, 40), label="items")
+    ids = data.draw(st.lists(st.sampled_from(ITEMS), min_size=n, max_size=n, unique=True))
+    panel = CountPanel(ids, np.arange(n), np.ones(n, dtype=np.int64), [n], [n])
+    # few distinct scores, so the k-th place is usually tied
+    scores = np.array(
+        data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 7.5]), min_size=n, max_size=n)),
+        dtype=np.float64,
+    )
+    candidates = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    k = data.draw(st.integers(0, n + 2), label="k")
+    where = np.flatnonzero(candidates)
+    want = where[panel.rank(where, scores[where])[:k]].tolist()
+    assert want == sorted(where.tolist(), key=lambda i: (-scores[i], ids[i]))[:k]
+    assert panel.top(scores, candidates, k).tolist() == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(markets(), st.integers(min_value=1, max_value=300))
 def test_restrict_top_k_keeps_the_rank_items_set_in_bin_order(market, k):

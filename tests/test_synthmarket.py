@@ -1,15 +1,20 @@
+import csv
 import hashlib
+import io
 import math
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftkit.events import assign_bin
 from driftkit.popularity import PopularityDistribution, aggregate
 from driftkit.events import ingest
 from driftkit.estimators import plugin_jsd
 from driftkit.synthmarket import (
+    _csv_renderer,
     CohortMix,
     GroundTruth,
     SynthMarketSpec,
@@ -188,8 +193,6 @@ class TestGenerate:
         assert (tmp_path / "ta.csv").read_bytes() == (tmp_path / "tb.csv").read_bytes()
 
     def test_truth_sidecar_matches_truth(self, tmp_path):
-        import csv
-
         spec = small_spec(loans_per_bin=300, n_bins=2)
         res = generate(spec, tmp_path / "events.csv", tmp_path / "truth.csv")
         with open(tmp_path / "truth.csv", newline="") as fh:
@@ -220,6 +223,61 @@ class TestGenerate:
         rows = [(item_id(i), item_title(i), f"w{item_title(i)}") for i in range(400)]
         catalog = canonicalize(rows)
         assert catalog.n_canonical == 400
+
+
+# Field text that csv.writer must quote or may render specially: the
+# delimiter, the quote, both line-end characters, non-ASCII and "".
+AWKWARD = st.text(st.sampled_from(',"\r\n aé中'), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    title=AWKWARD,
+    creator=AWKWARD,
+    category=AWKWARD,
+    medium=AWKWARD,
+    loaner=st.tuples(*[AWKWARD] * 5),
+)
+def test_rendered_row_is_what_csv_writer_writes(title, creator, category, medium, loaner):
+    render = _csv_renderer()
+    item = ("K0000001", title, creator, category)
+    row = f"2022-01-01,{render(item)},{render((medium,))},{render(loaner)}\r\n"
+    buf = io.StringIO()
+    csv.writer(buf).writerow(("2022-01-01", *item, medium, *loaner))
+    assert row == buf.getvalue()
+    # a lone empty field is quoted only as a whole row, never inside one
+    assert render(("",)) == ""
+
+
+def test_awkward_category_and_medium_names_round_trip(tmp_path):
+    names = ["", 'q"uote', "com,ma", "line\r\nend", "é中", "\n"]
+    plain = small_spec(
+        n_bins=2,
+        loans_per_bin=400,
+        category_weights=tuple((f"c{i}", 1.0) for i in range(len(names))),
+        medium_weights=tuple((f"m{i}", 1.0) for i in range(len(names))),
+    )
+    awkward = small_spec(
+        n_bins=2,
+        loans_per_bin=400,
+        category_weights=tuple((name, 1.0) for name in names),
+        medium_weights=tuple((name, 1.0) for name in reversed(names)),
+    )
+    generate(plain, tmp_path / "plain.csv")
+    generate(awkward, tmp_path / "awkward.csv")
+    with open(tmp_path / "plain.csv", newline="", encoding="utf-8") as fh:
+        want = list(csv.reader(fh))
+    text = (tmp_path / "awkward.csv").read_bytes().decode("utf-8")
+    got = list(csv.reader(io.StringIO(text, newline="")))
+    category = {f"c{i}": name for i, name in enumerate(names)}
+    medium = {f"m{i}": name for i, name in enumerate(reversed(names))}
+    for row in want[1:]:
+        row[4], row[5] = category[row[4]], medium[row[5]]
+    assert got == want
+    assert {row[4] for row in got[1:]} == {row[5] for row in got[1:]} == set(names)
+    buf = io.StringIO()
+    csv.writer(buf).writerows(got)
+    assert text == buf.getvalue()
 
 
 # Two small markets whose generated bytes are pinned: one crossing the
