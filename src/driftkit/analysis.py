@@ -378,9 +378,7 @@ def trajectory_panel(
         position = dict(zip(panel.ids[pair].tolist(), pair.tolist()))
         selected = np.fromiter(map(position.__getitem__, top), dtype=np.intp, count=len(top))
     elif isinstance(selector, TopTotal):
-        positions, loans = panel.all_index, panel.all_counts
-        present = np.bincount(positions, minlength=panel.n_items) > 0
-        totals = np.bincount(positions, weights=loans, minlength=panel.n_items)
+        present, totals = panel.item_loans()
         selected = panel.top(totals, present, selector.k)
     elif isinstance(selector, TopPeak):
         positions, loans = panel.all_index, panel.all_counts

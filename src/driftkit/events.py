@@ -3,9 +3,10 @@
 `ingest` is the one pass from CSV rows to per-bin counts: it checks each
 row, resolves each distinct date string once into its bin, window and
 exclusion status, applies the cohort (`CohortFilter.admits`, the one cohort
-rule) and counts the row's raw item key into its bin's `BinTally`, with no
-per-row record. `open_table` opens every input table (log, catalog, items
-table); `find_bin` finds a bin by name.
+rule) and counts the row's raw item key, by its code in the pass's one key
+table, into its bin's `BinTally`, with no per-row record. `open_table`
+opens every input table (log, catalog, items table); `find_bin` finds a
+bin by name.
 """
 
 from __future__ import annotations
@@ -283,12 +284,15 @@ class BinTally:
     """Raw item-key loan counts of one time bin, from one ingestion pass.
 
     ``rows`` counts the accepted rows dated in the bin; ``counts`` holds the
-    ones the cohort (labelled ``cohort``) admitted, and ``skipped`` why
-    others were not admitted.
+    ones the cohort (labelled ``cohort``) admitted, by item key code in the
+    order first counted in the bin: code ``c`` is the raw item key ``keys[c]``
+    of the pass's key table, which all its tallies share. ``skipped`` says
+    why other rows were not admitted.
     """
 
     bin: TimeBin
     cohort: str
+    keys: list[str]
     counts: Counter = field(default_factory=Counter)
     rows: int = 0
     skipped: Counter = field(default_factory=Counter)
@@ -317,9 +321,9 @@ def open_table(path, columns: dict[str, str], mandatory, missing: str):
     except StopIteration:
         handle.close()
         raise SchemaError(f"{path}: empty file, no header row")
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         handle.close()
-        raise _decode_error(path, 0, exc) from exc
+        raise _read_error(path, 0, exc) from exc
 
     positions = {name: i for i, name in enumerate(header)}
     for fld, col in columns.items():
@@ -334,7 +338,8 @@ def table_rows(path, handle, reader, width: int, missing: str, nonempty=()):
 
     A row of fewer than ``width`` fields raises SchemaError (``missing`` with
     PATH:LINE), and so does a row with an empty field of ``nonempty``, (name,
-    position) pairs; a byte that is not UTF-8, IngestError naming the last row read.
+    position) pairs; a byte that is not UTF-8 or a field past the csv field
+    limit, IngestError naming the last row read.
     """
     rows = 0
     with handle:
@@ -348,11 +353,14 @@ def table_rows(path, handle, reader, width: int, missing: str, nonempty=()):
                     if not row[i]:
                         raise SchemaError(f"{path}:{reader.line_num}: empty {name}")
                 yield row
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, rows, exc) from exc
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise _read_error(path, rows, exc) from exc
 
 
-def _decode_error(path, rows: int, exc: UnicodeDecodeError) -> IngestError:
+def _read_error(path, rows: int, exc: UnicodeDecodeError | csv.Error) -> IngestError:
+    """The IngestError of a read that failed after ``rows`` data rows."""
+    if isinstance(exc, csv.Error):  # a field longer than csv.field_size_limit()
+        return IngestError(f"{path}: {exc} after data row {rows}")
     byte = exc.object[exc.start : exc.start + 1].hex()
     return IngestError(
         f"{path}: undecodable byte 0x{byte} after data row {rows}: the file is not UTF-8"
@@ -381,8 +389,9 @@ def ingest(
     parsed once. Once the file is exhausted, the iterator raises IngestError
     if more than ``max_malformed_fraction`` of rows were malformed, and
     otherwise yields one `BinTally` per bin with accepted rows, in bin
-    order. The header is validated eagerly; a UTF-8 BOM is skipped, and
-    bytes that are not UTF-8 raise IngestError naming the last good row.
+    order, all over the pass's one key table. The header is validated
+    eagerly; a UTF-8 BOM is skipped, and bytes that are not UTF-8 or a field
+    past csv's field size limit raise IngestError naming the last good row.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity: {granularity!r}")
@@ -419,6 +428,8 @@ def _tally_stream(handle, reader, columns, window, exclude, max_bad, granularity
     from_iso = date.fromisoformat
 
     tallies: dict[int, BinTally] = {}
+    codes: dict[str, int] = {}  # raw item key -> code, in first-count order
+    keys: list[str] = []  # the key table: ``codes``' keys, once the file is read
     # date string -> _BAD or (date, its bin's tally or None, 0 kept | 1 out of window | 2 excluded)
     days: dict[str, object] = {}
     births: dict[str, object] = {}  # birthdate string -> date or _BAD
@@ -438,7 +449,7 @@ def _tally_stream(handle, reader, columns, window, exclude, max_bad, granularity
         tb = assign_bin(d, granularity)
         tally = tallies.get(tb.index)
         if tally is None:
-            tally = tallies[tb.index] = BinTally(tb, label)
+            tally = tallies[tb.index] = BinTally(tb, label, keys)
         return d, tally, 0
 
     def resolve_birth(text):
@@ -516,9 +527,9 @@ def _tally_stream(handle, reader, columns, window, exclude, max_bad, granularity
             tally.rows += 1
             if admits is not None and not admits(d, birth, *demo[1], tally.skipped):
                 continue
-            tally.counts[key] += 1
-    except UnicodeDecodeError as exc:
-        raise _decode_error(report.path, rows, exc) from exc
+            tally.counts[codes.setdefault(key, len(codes))] += 1
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _read_error(report.path, rows, exc) from exc
     finally:
         handle.close()
         report.rows = rows
@@ -534,6 +545,7 @@ def _tally_stream(handle, reader, columns, window, exclude, max_bad, granularity
             f"(threshold {max_bad:.1%}); first offenders: {examples}"
         )
     days.clear()
+    keys.extend(codes)
     for index in sorted(tallies):
         tally = tallies.pop(index)
         if tally.rows:

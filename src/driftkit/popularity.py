@@ -1,12 +1,12 @@
 """Sparse popularity distributions per (time bin, cohort), on one shared count panel.
 
-`aggregate` maps the per-bin raw-key tallies of `events.ingest` through the
-canonical catalog into `PopularityDistribution`s. The count panel is the
-library's one item representation: the producers (`aggregate`,
-`restrict_top_k` and `synthmarket`'s sampler) build their distributions as
-rows of one `CountPanel`, where the item ids are interned once, each id's
-rank in Python string order is computed once, and each bin is an int index
-array into the ids plus its counts and total. A producer-built
+`aggregate` turns the per-bin key-code tallies of `events.ingest`, each key
+mapped once through the canonical catalog, into `PopularityDistribution`s.
+The count panel is the library's one item representation: the producers
+(`aggregate`, `restrict_top_k` and `synthmarket`'s sampler) build their
+distributions from arrays as rows of one `CountPanel`: each item id is
+held once, its rank in Python string order is computed once, and each bin
+is an int index array into the ids plus its counts and total. A producer-built
 distribution's ``counts`` is a read-only mapping view of its row
 (`RowCounts`), iterating in the bin's own item order; a distribution built
 by hand from a plain mapping works everywhere too. Every consumer gets its
@@ -100,6 +100,11 @@ class CountPanel:
     @property
     def n_items(self) -> int:
         return len(self.ids)
+
+    def item_loans(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whether any row holds each item, and the item's loans summed over all rows."""
+        present = np.bincount(self.all_index, minlength=self.n_items) > 0
+        return present, np.bincount(self.all_index, weights=self.all_counts, minlength=self.n_items)
 
     def select(self, rows: list[int]) -> CountPanel:
         """The given rows, in that order, over the same ids and id ranks."""
@@ -257,37 +262,55 @@ def aggregate(
 ) -> tuple[list[PopularityDistribution], AggregateReport]:
     """Turn `ingest`'s per-bin tallies into one distribution per bin with loans.
 
-    Each raw item key is mapped through the catalog once per bin; keys
-    missing from the catalog pass through as their own canonical id, and
-    their loans are counted in the report. Returns the distributions in the
-    tallies' order, which `ingest` makes bin order, as rows of one panel;
-    the list is empty when no row matched, which the caller reports.
+    Each key of the pass's key table is mapped through the catalog once;
+    keys missing from it (all keys, with no catalog) are their own canonical
+    id, and their loans (none, with no catalog) are counted in the report. A
+    bin's keys of one id are summed at the first one's place. Returns the
+    distributions in the tallies' order, which `ingest` makes bin order, as
+    rows of one panel, ids in first-count order; the list is empty when no
+    row matched, which the caller reports. Tallies of two passes raise ValueError.
     """
     report = AggregateReport()
-    mapping = catalog.mapping if catalog is not None else None
-    tables, totals, cells = [], [], []
+    tallies = list(tallies)
+    keys = tallies[0].keys if tallies else []
     for tally in tallies:
+        if tally.keys is not keys:
+            raise ValueError("the tallies come from more than one ingest pass")
         report.events_seen += tally.rows
         report.skipped.update(tally.skipped)
-        if not tally.counts:
-            continue
-        if mapping is None:
-            counts = tally.counts
-        else:
-            counts = {}
-            for key, c in tally.counts.items():
-                cid = mapping.get(key)
-                if cid is None:
-                    report.unknown_keys += c
-                    cid = key
-                counts[cid] = counts.get(cid, 0) + c
-        total = sum(counts.values())
-        report.matched += total
-        tables.append(counts)
-        totals.append(total)
-        cells.append((tally.bin, tally.cohort))
+    tallies = [tally for tally in tallies if tally.counts]
 
-    return on_panel(CountPanel.intern(tables, totals), cells), report
+    raw = np.array(keys, dtype=object)
+    cid = raw if catalog is None else np.array([*map(catalog.mapping.get, keys)], dtype=object)
+    unknown = np.equal(cid, None)
+    cid[unknown] = raw[unknown]
+    # only the keys a catalog renames, and the keys named as one of their ids, can
+    # share an id; ``lead`` is the code of the first key with each key's id
+    shared = cid != raw
+    shared |= np.fromiter(map(set(cid[shared]).__contains__, keys), bool, len(keys))
+    lead = np.arange(len(keys))
+    _, at, group = np.unique(cid[shared], return_index=True, return_inverse=True)
+    lead[shared] = np.flatnonzero(shared)[at][group]
+
+    sizes = [len(tally.counts) for tally in tallies]
+    n = sum(sizes)
+    codes = np.fromiter(chain.from_iterable(t.counts for t in tallies), np.intp, n)
+    loans = np.fromiter(chain.from_iterable(t.counts.values() for t in tallies), np.int64, n)
+    totals = [sum(tally.counts.values()) for tally in tallies]
+    report.matched, report.unknown_keys = sum(totals), int(loans[unknown[codes]].sum())
+    # a bin counts each id once, at its first key's place: sum the shared keys'
+    # cells there (float64 sums of loan counts are exact below 2**53)
+    rows = np.repeat(np.arange(len(tallies)), sizes)
+    kept = ~shared[codes]
+    meet = np.flatnonzero(~kept)
+    pair = rows[meet] * len(keys) + lead[codes[meet]]
+    _, at, cell = np.unique(pair, return_index=True, return_inverse=True)
+    kept[meet[at]] = True
+    loans[meet[at]] = np.bincount(cell, weights=loans[meet])
+    leads = lead == np.arange(len(keys))
+    index = (np.cumsum(leads) - 1)[lead[codes[kept]]]
+    panel = CountPanel(cid[leads], index, loans[kept], np.bincount(rows[kept]), totals)
+    return on_panel(panel, [(tally.bin, tally.cohort) for tally in tallies]), report
 
 
 def require_loans(dist: PopularityDistribution) -> None:
@@ -317,13 +340,12 @@ def restrict_top_k(
         raise ValueError("k must be >= 1")
     panel = panel_of(dists)
     positions, counts = panel.all_index, panel.all_counts
-    present = np.bincount(positions, minlength=panel.n_items) > 0
+    present, totals = panel.item_loans()
     n_present = int(np.count_nonzero(present))
     if n_present <= k:
         if n_present < k:
             log.info("only %d distinct items, fewer than k=%d; keeping all", n_present, k)
         return list(dists)
-    totals = np.bincount(positions, weights=counts, minlength=panel.n_items)
     kept = np.zeros(panel.n_items, dtype=bool)
     kept[panel.top(totals, present, k)] = True
     keep = kept[positions]

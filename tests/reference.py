@@ -5,8 +5,9 @@ Each is written apart from the code it checks, with plain dicts, loops,
 imports none of ``driftkit.divergence``, ``driftkit.estimators``,
 ``driftkit.analysis`` and ``CountPanel``. ``read_events`` is the per-row
 loan reader and ``matches`` the cohort test of one loan, the oracle of the
-ingest tally; ``rank_items`` ranks a mapping's items by descending score,
-then id; ``tsallis`` is the order-alpha entropy of a plain dict;
+ingest tally; ``tallies_of`` builds one pass's tallies by hand;
+``rank_items`` ranks a mapping's items by descending score, then id;
+``tsallis`` is the order-alpha entropy of a plain dict;
 ``partials`` splits JSD, alpha-JSD or the Jaccard distance of two plain
 dicts into per-item shares, and ``value`` sums them.
 """
@@ -130,6 +131,22 @@ def _events(handle, reader, columns, window, exclude, max_bad, report):
             f"{report.path}: {report.malformed} of {report.rows} rows malformed "
             f"(threshold {max_bad:.1%}); first offenders: {report.malformed_examples}"
         )
+
+
+def tallies_of(dists) -> list[events.BinTally]:
+    """One hand-built ingest pass: a `BinTally` per distribution, over one shared key table.
+
+    Each tally counts its distribution's items by code, in the distribution's
+    item order, with the distribution's total as its rows.
+    """
+    keys = list(dict.fromkeys(key for d in dists for key in d.counts))
+    code = {key: c for c, key in enumerate(keys)}
+    return [
+        events.BinTally(
+            d.bin, d.cohort, keys, Counter({code[k]: n for k, n in d.counts.items()}), d.total
+        )
+        for d in dists
+    ]
 
 
 def rank_items(scores: Mapping[str, int], k: int | None = None) -> list[str]:

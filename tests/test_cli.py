@@ -596,6 +596,39 @@ class TestExitCodes:
         assert int(match.group(1)) < bad_row
         assert not out.exists()
 
+    @pytest.mark.parametrize("table", ["log", "log-header", "catalog", "items"])
+    def test_field_past_the_csv_limit_is_data_error(self, tmp_path, capsys, table):
+        """csv's default field size limit stays; a longer field is a data error, exit 2."""
+        title = "t" * (csv.field_size_limit() + 1)
+        bad_row = 7
+        if table.startswith("log"):
+            lines = FIXTURE.read_text(encoding="utf-8").splitlines(keepends=True)[:20]
+            at = 0 if table == "log-header" else bad_row
+            lines[at] = lines[at].replace(",", f",{title}" if at else f",{title}_", 1)
+            text = "".join(lines)
+        else:
+            header = "item_key,title,creator" if table == "items" else "item_key,canonical_id"
+            rows = [f"K{i:07d},K{i:07d}" for i in range(1, 20)]
+            rows[bad_row - 1] = f"K{bad_row:07d},{title}"
+            text = "\n".join([header] + rows) + "\n"
+        path = tmp_path / f"{table}.csv"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        if table == "items":
+            code = run("canon", "--items", str(path), "--out", str(out / "mapping.csv"))
+        else:
+            log = FIXTURE if table == "catalog" else path
+            argv = ("--catalog", str(path)) if table == "catalog" else ()
+            code = run("drift", "local", "--input", str(log), *argv, "--output-dir", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        row = 0 if table == "log-header" else bad_row - 1
+        assert err == (
+            f"driftkit: {path}: field larger than field limit ({csv.field_size_limit()}) "
+            f"after data row {row}\n"
+        )
+        assert not out.exists()
+
     def test_short_items_row_is_data_error(self, tmp_path, capsys):
         items = tmp_path / "items.csv"
         items.write_text("item_key,title,creator\nK1,Pixel Ninja,A. Writer\nK2\n")

@@ -124,6 +124,11 @@ def accepted_rows(stream):
     return sum(tally.rows for tally in stream)
 
 
+def raw_counts(tally):
+    """A tally's counts by raw item key, read through its pass's key table."""
+    return {tally.keys[code]: n for code, n in tally.counts.items()}
+
+
 class TestIngest:
     def test_clean_file(self, tmp_path):
         rows = [event_row(loan_date=f"2022-03-{d:02d}", item_key=f"k{d}") for d in range(1, 11)]
@@ -132,7 +137,7 @@ class TestIngest:
         stream, report = ingest(path, window=window)
         (tally,) = list(stream)
         assert tally.bin == assign_bin(date(2022, 3, 1), "month")
-        assert tally.counts == {f"k{d}": 1 for d in range(1, 11)}
+        assert raw_counts(tally) == {f"k{d}": 1 for d in range(1, 11)}
         assert tally.rows == 10
         assert report.accepted == 10
         assert report.malformed == 0 and report.out_of_window == 0
@@ -194,7 +199,7 @@ class TestIngest:
         other = CohortFilter(categories=frozenset({Category.OTHER}))
         stream, report = ingest(path, cohort=other)
         (tally,) = list(stream)
-        assert tally.counts == {"k1": 2}  # both read as Category.OTHER
+        assert raw_counts(tally) == {"k1": 2}  # both read as Category.OTHER
         assert report.flagged_enum_values == 1  # empty string is sanctioned unknown
         events, _ = read_events(path)
         assert [e.category for e in events] == [Category.OTHER, Category.OTHER]
@@ -219,7 +224,7 @@ class TestIngest:
         schema = {"date": "when", "item_key": "book", "title": "name", "loaner_id": "who"}
         stream, report = ingest(path, schema=schema)
         (tally,) = list(stream)
-        assert tally.counts == {"K9": 1}
+        assert raw_counts(tally) == {"K9": 1}
         events, _ = read_events(path, schema=schema)
         (ev,) = list(events)
         assert ev.item_key == "K9" and ev.loaner_id == "L7"

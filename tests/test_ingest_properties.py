@@ -5,10 +5,12 @@
 `assign_bin` and mapped through the catalog one by one: the same
 distributions, with the same bin order and the same item order within each
 bin, the same `IngestReport` and `AggregateReport`, and the same abort when
-too many rows are malformed. The fuzzed logs mix quoted commas, CRLF line
-ends, short rows, bad and out-of-order birthdates, unknown enum values,
-dates on window and exclusion edges, and permuted or missing optional
-columns.
+too many rows are malformed. The tallies themselves must share one key
+table, numbered in the order each key was first counted, and count each
+bin's raw keys in the order of their first loan in that bin. The fuzzed
+logs mix quoted commas, CRLF line ends, short rows, bad and out-of-order
+birthdates, unknown enum values, dates on window and exclusion edges, and
+permuted or missing optional columns.
 """
 
 import csv
@@ -67,52 +69,66 @@ def reference(path, granularity, cohort, catalog, **options):
     """The per-row path: `read_events`, then `matches`, `assign_bin` and the catalog per event."""
     events, ingest_report = read_events(path, **options)
     report = AggregateReport()
-    per_bin = {}
+    per_bin, raw_per_bin, counted = {}, {}, []
     try:
         for ev in events:
             report.events_seen += 1
             if not matches(ev, cohort, report.skipped):
                 continue
             report.matched += 1
+            counted.append(ev.item_key)
             cid = ev.item_key
             if catalog is not None:
                 cid = catalog.mapping.get(ev.item_key)
                 if cid is None:
                     report.unknown_keys += 1
                     cid = ev.item_key
-            counts = per_bin.setdefault(assign_bin(ev.date, granularity), {})
+            tb = assign_bin(ev.date, granularity)
+            counts = per_bin.setdefault(tb, {})
             counts[cid] = counts.get(cid, 0) + 1
+            raw = raw_per_bin.setdefault(tb, {})
+            raw[ev.item_key] = raw.get(ev.item_key, 0) + 1
     except IngestError as exc:
-        return str(exc), ingest_report, None
+        return str(exc), ingest_report, None, None
     dists = [
         PopularityDistribution(tb, cohort.label, counts, sum(counts.values()))
         for tb, counts in sorted(per_bin.items(), key=lambda kv: kv[0].index)
     ]
-    return dists, ingest_report, report
+    raw_counts = [list(raw_per_bin[d.bin].items()) for d in dists]
+    return dists, ingest_report, report, (list(dict.fromkeys(counted)), raw_counts)
 
 
 def tallied(path, granularity, cohort, catalog, **options):
+    """`ingest` plus `aggregate`, and the tallies, read through their key table."""
     stream, ingest_report = ingest(path, granularity=granularity, cohort=cohort, **options)
     try:
-        dists, report = aggregate(stream, catalog)
+        tallies = list(stream)
     except IngestError as exc:
-        return str(exc), ingest_report, None
-    return dists, ingest_report, report
+        return (str(exc), ingest_report, None, None), []
+    dists, report = aggregate(tallies, catalog)
+    keys = tallies[0].keys if tallies else []
+    raw_counts = [[(keys[c], n) for c, n in t.counts.items()] for t in tallies if t.counts]
+    return (dists, ingest_report, report, (keys, raw_counts)), tallies
 
 
 def assert_same(path, granularity="month", cohort=EVERYONE, catalog=None, **options):
     want = reference(path, granularity, cohort, catalog, **options)
-    got = tallied(path, granularity, cohort, catalog, **options)
-    assert got == want
+    got, tallies = tallied(path, granularity, cohort, catalog, **options)
+    assert got == want  # with the key table in first-count order, and each bin's raw keys
     dists = got[0]
     if not isinstance(dists, str):  # item order within each bin, too
         assert [list(d.counts.items()) for d in dists] == [
             list(d.counts.items()) for d in want[0]
         ]
+    if tallies:  # one key table per pass, coded 0..n-1 with no key twice
+        keys = tallies[0].keys
+        assert all(tally.keys is keys for tally in tallies)
+        assert len(set(keys)) == len(keys)
+        assert set().union(*(tally.counts for tally in tallies)) == set(range(len(keys)))
     report = got[1]
     skipped = report.out_of_window + report.excluded + report.malformed
     assert report.rows == report.accepted + skipped
-    return got
+    return got[:3]
 
 
 dates = st.sampled_from(DAYS)

@@ -14,7 +14,6 @@ view refuses a single bin.
 import ast
 import random
 import re
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,6 @@ from driftkit.divergence import (
     jsd_alpha_normalized,
     jsd_with_contributions,
 )
-from driftkit.events import BinTally
 from driftkit.popularity import (
     CountPanel,
     PopularityDistribution,
@@ -235,7 +233,7 @@ def row_sources(draw):
     hand = [dist(table, month=t + 1) for t, table in enumerate(tables)]
     panel = CountPanel.intern(tables, [d.total for d in hand])
     shared = on_panel(panel, [(d.bin, d.cohort) for d in hand])
-    aggregated, _ = aggregate(BinTally(d.bin, d.cohort, Counter(d.counts), d.total) for d in hand)
+    aggregated, _ = aggregate(oracle.tallies_of(hand))
     top = restrict_top_k(aggregated, draw(st.integers(min_value=1, max_value=24)))
     return [hand, shared, aggregated, [d for d in top if d.total > 0]]
 

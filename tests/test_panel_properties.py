@@ -34,7 +34,6 @@ from driftkit.analysis import (
     transition_matrix,
 )
 from driftkit.divergence import Measure, jsd_with_contributions
-from driftkit.events import BinTally
 from driftkit.popularity import (
     CountPanel,
     aggregate,
@@ -255,7 +254,7 @@ def test_distribution_rows_follow_the_rank_items_reference(tmp_path_factory, mar
     hand, shared = market
     # tied counts on ids that numpy's string order would misplace
     hand = hand + [dist({"i\x00": 2, "é": 2, "i": 2, "z": 1}, month=len(hand) + 1)]
-    aggregated, _ = aggregate(BinTally(d.bin, d.cohort, Counter(d.counts), d.total) for d in hand)
+    aggregated, _ = aggregate(oracle.tallies_of(hand))
     restricted = restrict_top_k(aggregated, k)
     # ranking again on a restricted panel, whose id ranks are not dense
     twice = restrict_top_k(restricted, max(1, k // 2))

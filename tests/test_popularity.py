@@ -67,6 +67,13 @@ class TestAggregate:
         assert dists == []
         assert (report.events_seen, report.matched) == (1, 0)
 
+    def test_tallies_of_two_passes_rejected(self, tmp_path):
+        path = write_events_csv(tmp_path / "ev.csv", [loan(date(2022, 3, 5), "a")])
+        (first,), (second,) = (list(ingest(path)[0]) for _ in range(2))
+        assert first.keys == second.keys == ["a"]
+        with pytest.raises(ValueError, match="more than one ingest pass"):
+            aggregate([first, second])
+
     def test_age_skips_counted(self, tmp_path):
         events = [loan(date(2022, 3, 5), "a", birthdate="")]
         _, report = aggregate_log(

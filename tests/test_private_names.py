@@ -1,8 +1,12 @@
-"""No driftkit module imports another's private names, and only ``BinRows`` aligns two rows.
+"""No driftkit module imports another's private names, only ``BinRows`` aligns two rows,
+and the producers do not intern their panels.
 
 ``divergence.BinRows`` is the one reader of a pair; these AST checks keep a
 second one from growing back through a private helper. Importing the
-private module ``_fork`` itself (``from . import _fork``) is allowed.
+private module ``_fork`` itself (``from . import _fork``) is allowed. The
+producers build their count panels from arrays, so ``CountPanel.intern``
+hashes item ids only for hand-built distributions (``popularity.panel_of``)
+and the mapping API (``divergence._mapping_rows``).
 """
 
 import ast
@@ -26,12 +30,13 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
-def _aligned_calls(tree: ast.AST) -> list[ast.Call]:
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    """Calls in ``tree`` of a function, method or attribute named ``name``."""
     return [
         node
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_aligned"
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
     ]
 
 
@@ -41,11 +46,30 @@ def test_only_bin_rows_calls_aligned():
         for node in TREES["divergence"].body
         if isinstance(node, ast.ClassDef) and node.name == "BinRows"
     ]
-    inside = {id(call) for call in _aligned_calls(reader)}
+    inside = {id(call) for call in _calls(reader, "_aligned")}
     outside = [
         f"{stem}.py:{call.lineno}"
         for stem, tree in sorted(TREES.items())
-        for call in _aligned_calls(tree)
+        for call in _calls(tree, "_aligned")
+        if id(call) not in inside
+    ]
+    assert inside and outside == []
+
+
+
+def test_only_panel_of_and_the_mapping_api_intern():
+    allowed = {("popularity", "panel_of"), ("divergence", "_mapping_rows")}
+    inside = {
+        id(call)
+        for stem, name in allowed
+        for func in TREES[stem].body
+        if isinstance(func, ast.FunctionDef) and func.name == name
+        for call in _calls(func, "intern")
+    }
+    outside = [
+        f"{stem}.py:{call.lineno}"
+        for stem, tree in sorted(TREES.items())
+        for call in _calls(tree, "intern")
         if id(call) not in inside
     ]
     assert inside and outside == []
