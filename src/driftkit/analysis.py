@@ -38,7 +38,6 @@ panel's row order (peak bin, then id) come from the one ``CountPanel.rank``.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ from datetime import date
 
 import numpy as np
 
-from .divergence import BinRows, ContributionBreakdown, Measure, jsd_with_contributions
+from .divergence import BinRows, ContributionBreakdown, Measure, exact_sum, jsd_with_contributions
 # not called here since every view reads its pairs through BinRows; kept
 # importable as analysis.divergence_of, where bench/tracing.py hooks it
 from .divergence import divergence_of  # noqa: F401
@@ -234,7 +233,7 @@ def _contributions(
     codes = np.repeat(np.arange(1, N_GROUPS + 1, dtype=np.int8), [len(b) for b in bands])
     groups = PositionMap(breakdown.ids, breakdown.union[breakdown.order], codes)
     total = breakdown.total_bits
-    shares = [math.fsum(b.tolist()) / total for b in bands] if total > 0.0 else [0.0] * N_GROUPS
+    shares = [exact_sum(b) / total for b in bands] if total > 0.0 else [0.0] * N_GROUPS
     return breakdown, groups, shares
 
 

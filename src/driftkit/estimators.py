@@ -17,11 +17,11 @@ block 0, forked children the rest). The mean and the standard error are
 taken over that one array, so every ``jobs`` gives the same bits.
 
 No divergence formula lives here. ``plugin_divergence`` goes through
-``divergence_of`` on the two ``normalize``d tables (exact fsum summation).
+``divergence_of`` on the two ``normalize``d tables (summed by ``exact_sum``).
 The bootstrap reads the two tables as the two rows of one
 ``divergence.BinRows`` over their count panel (``panel_of``), the reader
-every view uses: its plug-in value comes from ``BinRows.value`` (exact
-fsum, equal to ``plugin_divergence`` bit for bit) and the shares its
+every view uses: its plug-in value comes from ``BinRows.value``
+(``exact_sum``, equal to ``plugin_divergence`` bit for bit) and the shares its
 resamples are drawn from, over the pair's joint support, from
 ``BinRows.pair``. Each resample's value comes from ``divergence_of_arrays``
 (np.sum). All run the same kernel in divergence.py, so the bias correction

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .divergence import jsd
+from .divergence import exact_sum, jsd
 from .events import DEFAULT_SCHEMA, TimeBin, assign_bin, bin_from_index, find_bin
 from .popularity import CountPanel, PopularityDistribution, on_panel
 
@@ -156,7 +156,7 @@ def item_creator(index: int) -> str:
 def zipf_weights(catalog_size: int, exponent: float) -> np.ndarray:
     ranks = np.arange(1, catalog_size + 1, dtype=np.float64)
     weights = ranks**-exponent
-    return weights / math.fsum(weights.tolist())
+    return weights / exact_sum(weights)
 
 
 class GroundTruth:
@@ -178,7 +178,7 @@ class GroundTruth:
         return dict(zip(ids, self.weights[i].tolist()))
 
     def probability_sum(self, which: int | TimeBin | str) -> float:
-        return math.fsum(self.weights[self.bin_index(which)].tolist())
+        return exact_sum(self.weights[self.bin_index(which)])
 
 
 def true_jsd(truth: GroundTruth, bin_a: int | TimeBin | str, bin_b: int | TimeBin | str) -> float:
@@ -207,7 +207,7 @@ def _build_truth(spec: SynthMarketSpec):
     active = base.copy()
     if seasonal.size:
         active[seasonal] *= spec.seasonal_multiplier
-        active /= math.fsum(active.tolist())
+        active /= exact_sum(active)
 
     head = min(spec.stable_head_ranks, k)
     mask = np.ones(k, dtype=bool)

@@ -5,9 +5,9 @@ import pytest
 
 from driftkit.divergence import (
     Measure,
-    _fsum,
     _side_term,
     divergence_of,
+    exact_sum,
     jaccard_distance,
     jsd,
     jsd_alpha_normalized,
@@ -23,7 +23,7 @@ HALF = {"a": 0.5, "b": 0.5}
 
 def side_term(measure: Measure, dist: dict) -> float:
     """The kernel's term of one distribution alone, summed exactly."""
-    return _side_term(measure, np.array(list(dist.values()), dtype=np.float64), _fsum)
+    return _side_term(measure, np.array(list(dist.values()), dtype=np.float64), exact_sum)
 
 
 class TestShannonEntropy:

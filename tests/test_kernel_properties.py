@@ -1,6 +1,6 @@
-"""Properties of the one kernel per measure and the one ranking rule.
+"""Properties of the one kernel per measure, the exact sum and the one ranking rule.
 
-``divergence_of`` and the views' one reader ``BinRows`` (exact fsum) and
+``divergence_of`` and the views' one reader ``BinRows`` (``exact_sum``) and
 the bootstrap's array call (np.sum) run the same kernels; these
 checks tie them together, pin their order independence and hold them to
 the plain-dict references of ``tests/reference.py``, which import none of
@@ -8,10 +8,12 @@ it. The contribution ranking is checked on the same random count tables,
 and so are the partial sum against the entropy form, invariance under
 renaming the items and the continuity of alpha-JSD at alpha = 1. Every view
 is planned once: the global baseline defaults to the first bin, and every
-view refuses a single bin.
+view refuses a single bin. ``exact_sum`` itself must return math.fsum's
+float bit for bit, or raise as it does.
 """
 
 import ast
+import math
 import random
 import re
 from pathlib import Path
@@ -36,6 +38,7 @@ from driftkit.divergence import (
     _partial_terms,
     divergence_of,
     divergence_of_arrays,
+    exact_sum,
     jsd,
     jsd_alpha_normalized,
     jsd_with_contributions,
@@ -335,6 +338,117 @@ def test_views_default_to_the_first_bin_and_need_two_bins(dists):
     for view in views:
         with pytest.raises(ValueError, match="at least two bins"):
             view()
+
+
+def fsum_outcome(total, values: list[float]):
+    """What ``total`` gives for ``values``: the float's hex (a zero's sign too), or the error type."""
+    try:
+        return total(np.array(values, dtype=np.float64)).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_sums_like_fsum(values: list[float]):
+    assert fsum_outcome(exact_sum, values) == fsum_outcome(lambda a: math.fsum(a.tolist()), values)
+
+
+def scaled(exponents):
+    return st.builds(
+        lambda sign, mantissa, exponent: sign * math.ldexp(mantissa, exponent),
+        st.sampled_from([-1.0, 1.0]),
+        st.integers(min_value=0, max_value=2**53 - 1),
+        exponents,
+    )
+
+
+# subnormals, signed zeros and magnitudes from 2**-1126 (rounded to a subnormal) to 2**1000
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    scaled(st.integers(min_value=-1126, max_value=947)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(finite, max_size=40))
+def test_exact_sum_is_fsum_on_any_floats(values):
+    assert_sums_like_fsum(values)
+
+
+@st.composite
+def near_halfway(draw):
+    """k ones (some one ulp above 1), half an ulp of k and a far smaller term, in any order.
+
+    The exact sum sits on or just off a rounding tie. A tiny negative term
+    next to large positive ones is where a floor-based split loses a bit.
+    """
+    k = draw(st.integers(min_value=1, max_value=70))
+    half = math.ulp(float(k)) / 2
+    tiny = draw(st.sampled_from([-1.0, 1.0])) * math.ldexp(half, -draw(st.integers(1, 1000)))
+    ones = [draw(st.sampled_from([1.0, 1.0 + 2**-52])) for _ in range(k)]
+    return draw(st.permutations(ones + [draw(st.sampled_from([half, -half])), tiny]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_halfway())
+def test_exact_sum_is_fsum_on_rounding_ties(values):
+    assert_sums_like_fsum(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=13),
+    st.sampled_from([-1, 0, 1]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_exact_sum_is_fsum_at_every_chunk_width(power, step, seed):
+    """Sizes next to a power of two, where the chunk width 52 - n.bit_length() changes."""
+    rng = np.random.default_rng(seed)
+    n = 2**power + step
+    values = rng.standard_normal(n) * np.ldexp(1.0, rng.integers(-80, 80, n))
+    assert_sums_like_fsum(values.tolist())
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [-0.0, -0.0],
+        [1 + 2**-52, 2**-53, -(2**-200)],  # a floor-based split rounds this up
+        [1.0, 2**-53, 2**-106],
+        [1.0, 2**-53, -(2**-106)],
+        [5e-324, 5e-324, -2.2250738585072014e-308],
+        [1e300, 1e-300, -1e300],
+        [math.inf],
+        [-math.inf, 1.0],
+        [math.nan, 1.0],
+        [math.inf, -math.inf],
+        [1.7976931348623157e308, 1e292],
+        [1e308, 1e308, -1e308],  # fsum's intermediate overflow
+    ],
+)
+def test_exact_sum_is_fsum_on_edge_cases(values):
+    assert_sums_like_fsum(values)
+
+
+@pytest.mark.parametrize("values", [[1.7976931348623157e308, 1e292], [-1e308, -1e308, 1e308]])
+def test_exact_sum_overflows_as_fsum_does(values):
+    with pytest.raises(OverflowError):
+        exact_sum(np.array(values))
+
+
+class _NoPythonFloats(np.ndarray):
+    def tolist(self):
+        raise AssertionError("a Python float per value")
+
+    def __iter__(self):
+        raise AssertionError("a Python float per value")
+
+
+def test_exact_sum_makes_no_python_float_per_value():
+    values = np.random.default_rng(3).dirichlet(np.ones(5000))
+    expected = math.fsum(values.tolist())
+    assert exact_sum(values.view(_NoPythonFloats)) == expected
 
 
 def test_reference_imports_none_of_the_code_it_checks():

@@ -1,12 +1,15 @@
 """No driftkit module imports another's private names, only ``BinRows`` aligns two rows,
-and the producers do not intern their panels.
+the producers do not intern their panels, and arrays sum with ``exact_sum``.
 
 ``divergence.BinRows`` is the one reader of a pair; these AST checks keep a
 second one from growing back through a private helper. Importing the
 private module ``_fork`` itself (``from . import _fork``) is allowed. The
 producers build their count panels from arrays, so ``CountPanel.intern``
 hashes item ids only for hand-built distributions (``popularity.panel_of``)
-and the mapping API (``divergence._mapping_rows``).
+and the mapping API (``divergence._mapping_rows``). ``divergence.exact_sum``
+gives math.fsum's bits without a Python float per value, so fsum is called
+only in its fallback for non-finite or overflowing input and in
+``forecast``, which sums a few Python floats.
 """
 
 import ast
@@ -56,7 +59,6 @@ def test_only_bin_rows_calls_aligned():
     assert inside and outside == []
 
 
-
 def test_only_panel_of_and_the_mapping_api_intern():
     allowed = {("popularity", "panel_of"), ("divergence", "_mapping_rows")}
     inside = {
@@ -73,3 +75,20 @@ def test_only_panel_of_and_the_mapping_api_intern():
         if id(call) not in inside
     ]
     assert inside and outside == []
+
+
+def test_only_the_exact_sum_fallback_and_forecast_call_fsum():
+    (kernel,) = [
+        node
+        for node in TREES["divergence"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "exact_sum"
+    ]
+    fallback = [call for node in kernel.body if isinstance(node, ast.If) for call in _calls(node, "fsum")]
+    allowed = {id(call) for call in fallback + _calls(TREES["forecast"], "fsum")}
+    outside = [
+        f"{stem}.py:{call.lineno}"
+        for stem, tree in sorted(TREES.items())
+        for call in _calls(tree, "fsum")
+        if id(call) not in allowed
+    ]
+    assert len(fallback) == 1 and outside == []
