@@ -4,25 +4,39 @@ The rule set: normalize titles/creators, sort lexicographically, compare each
 row against the next ten, pair rows whose titles and creators are both within
 edit distance 1 and whose edition digits agree (a missing digit counts as
 edition 1), then take the transitive closure of the pairs.
+
+Normalizing lowercases the text and keeps its runs of ASCII letters and
+digits, joined by single spaces; everything else (punctuation, accents,
+whitespace of any kind) only separates words.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 DEFAULT_WINDOW = 10
 DEFAULT_MAX_EDIT = 1
 
-_STRIP_RE = re.compile(r"[^0-9a-z ]+")
-_SPACE_RE = re.compile(r" +")
+_WORDS = re.compile(r"[0-9a-z]+").findall
+# per byte of ASCII text: a letter lowercased, a digit kept, anything else a space
+_ASCII_FOLD = bytes(
+    ord(ch.lower()) if ch.isascii() and ch.isalnum() else 32 for ch in map(chr, range(256))
+)
 
 
 def normalize_text(text: str) -> str:
-    """Lowercase, drop anything that is not a letter, digit or space, collapse runs of spaces."""
-    cleaned = _STRIP_RE.sub(" ", text.lower())
-    return _SPACE_RE.sub(" ", cleaned).strip()
+    """The lowercased text's runs of ASCII letters and digits, joined by single spaces.
+
+    ASCII text, one byte per character, takes a byte translation; other text
+    the same rule as a regex, after a Unicode ``lower`` (which can yield ASCII
+    letters, as the Kelvin sign's "k" does).
+    """
+    if text.isascii():
+        return b" ".join(text.encode().translate(_ASCII_FOLD).split()).decode()
+    return " ".join(_WORDS(text.lower()))
 
 
 def digit_token(title_norm: str) -> str | None:
@@ -235,25 +249,32 @@ def canonicalize(
 ) -> CanonicalCatalog:
     """Full pipeline over (item_key, title, creator) rows.
 
-    Each row's text is normalized once, and rows sharing an identical
-    normalized signature collapse into one slot before the windowed
-    comparison; the edition fields are derived once per distinct signature,
-    and pairing operates on the distinct, sorted signatures.
+    Each row is keyed by one signature string, ``title_norm + "\\0" +
+    creator_norm``; ``"\\0"`` sorts below every normalized character, so sorted
+    signatures are in (title, creator) order. A signature keeps its first
+    key, its head, and a later row of it only adds a (head, key) pair, so rows
+    sharing a signature collapse into one slot before the windowed comparison,
+    which derives the edition fields once per distinct signature. The heads in
+    signature order are the key universe: `build_catalog` orders the groups
+    by their first key there, every group holds a head, and the later keys
+    join through their pairs.
     """
-    by_signature: dict[tuple[str, str], list[str]] = {}
+    first: dict[str, str] = {}
+    # a later row's key and its signature's head, in two flat lists: a tuple
+    # per row would pin the freed signatures' memory pages
+    later_heads: list[str] = []
+    later_keys: list[str] = []
     for key, title, creator in rows:
-        by_signature.setdefault((normalize_text(title), normalize_text(creator)), []).append(key)
+        head = first.setdefault(f"{normalize_text(title)}\0{normalize_text(creator)}", key)
+        if head != key:
+            later_heads.append(head)
+            later_keys.append(key)
 
-    signatures = sorted(by_signature)
-    distinct = [_raw_item(min(by_signature[sig]), *sig) for sig in signatures]
-    pair_keys = [(a.item_key, b.item_key) for a, b in candidate_pairs(distinct, window, max_edit)]
-
-    all_keys: list[str] = []
-    same_signature: list[tuple[str, str]] = []
-    for sig in signatures:
-        keys = by_signature[sig]
-        all_keys.extend(keys)
-        head = min(keys)
-        same_signature.extend((head, k) for k in keys if k != head)
-
-    return build_catalog(all_keys, pair_keys + same_signature)
+    distinct: list = sorted(first)  # the signatures, each replaced in place by its item
+    heads = [first[signature] for signature in distinct]
+    del first
+    for i, head in enumerate(heads):
+        distinct[i] = _raw_item(head, *distinct[i].split("\0"))
+    pairs = [(a.item_key, b.item_key) for a, b in candidate_pairs(distinct, window, max_edit)]
+    del distinct
+    return build_catalog(heads, chain(pairs, zip(later_heads, later_keys)))

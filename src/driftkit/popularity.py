@@ -289,8 +289,9 @@ def aggregate(
     shared = cid != raw
     shared |= np.fromiter(map(set(cid[shared]).__contains__, keys), bool, len(keys))
     lead = np.arange(len(keys))
-    _, at, group = np.unique(cid[shared], return_index=True, return_inverse=True)
-    lead[shared] = np.flatnonzero(shared)[at][group]
+    first: dict[str, int] = {}
+    sharing = np.flatnonzero(shared).tolist()
+    lead[sharing] = [first.setdefault(i, c) for i, c in zip(cid[sharing].tolist(), sharing)]
 
     sizes = [len(tally.counts) for tally in tallies]
     n = sum(sizes)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import closing
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable
@@ -84,25 +85,35 @@ def write_mapping(path: Path, mapping: dict[str, str]):
     _write_csv(path, ["item_key", "canonical_id"], ([k, mapping[k]] for k in sorted(mapping)))
 
 
-def read_mapping(path: Path) -> CanonicalCatalog:
-    """The catalog `write_mapping` wrote: item_key,canonical_id rows, neither empty.
-
-    A key mapped to two canonical ids is a SchemaError naming both rows'
-    PATH:LINE; a repeated identical row is accepted.
-    """
+def _mapping_rows(path: Path):
+    """(line, item_key, canonical_id) of each data row of a catalog file."""
     missing = "catalog {path}: expected columns item_key,canonical_id"
     names = ("item_key", "canonical_id")
     handle, reader, cols = open_table(path, {c: c for c in names}, names, missing)
     i_key, i_cid = cols["item_key"], cols["canonical_id"]
-    mapping, lines = {}, {}
     for row in table_rows(path, handle, reader, max(i_key, i_cid) + 1, missing, cols.items()):
-        key, cid = row[i_key], row[i_cid]
+        yield reader.line_num, row[i_key], row[i_cid]
+
+
+def read_mapping(path: Path) -> CanonicalCatalog:
+    """The catalog `write_mapping` wrote: item_key,canonical_id rows, neither empty.
+
+    A key mapped to two canonical ids is a SchemaError naming both rows'
+    PATH:LINE, the first found by reading the file again; a repeated
+    identical row is accepted. The keys of one canonical id share its string.
+    """
+    mapping: dict[str, str] = {}
+    ids: dict[str, str] = {}
+    for line, key, cid in _mapping_rows(path):
+        cid = ids.setdefault(cid, cid)
         if mapping.setdefault(key, cid) != cid:
+            with closing(_mapping_rows(path)) as again:
+                first = next(n for n, k, _ in again if k == key)
             raise SchemaError(
-                f"{path}:{lines[key]} and {path}:{reader.line_num}: item_key {key!r} "
+                f"{path}:{first} and {path}:{line}: item_key {key!r} "
                 f"mapped to both {mapping[key]!r} and {cid!r}"
             )
-        lines.setdefault(key, reader.line_num)
+    del ids
     groups: dict[str, list[str]] = {}
     for key, cid in mapping.items():
         groups.setdefault(cid, []).append(key)

@@ -9,19 +9,30 @@ ingest tally; ``tallies_of`` builds one pass's tallies by hand;
 ``rank_items`` ranks a mapping's items by descending score, then id;
 ``tsallis`` is the order-alpha entropy of a plain dict;
 ``partials`` splits JSD, alpha-JSD or the Jaccard distance of two plain
-dicts into per-item shares, and ``value`` sums them.
+dicts into per-item shares, and ``value`` sums them. ``normalize_text``,
+``build_catalog`` and ``canonicalize`` are the plain canonicalizer (two regex
+substitutions, a (title, creator) tuple and a key list per signature) over the
+library's item builder and window pairing.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from driftkit import events
+from driftkit.canon import (
+    DEFAULT_MAX_EDIT,
+    DEFAULT_WINDOW,
+    CanonicalCatalog,
+    _raw_item,
+    candidate_pairs,
+)
 from driftkit.events import Category, CohortFilter, Education, Medium, Residence, Sex
 
 # the optional enum columns: schema field, enum, the member of a missing or unknown value
@@ -207,3 +218,96 @@ def partials(kind: str, P: Mapping[str, float], Q: Mapping[str, float], alpha=No
 def value(kind: str, P: Mapping[str, float], Q: Mapping[str, float], alpha=None) -> float:
     """Measure ``kind`` between two plain dicts: the exact sum of its ``partials``."""
     return math.fsum(partials(kind, P, Q, alpha).values())
+
+
+# The plain canonicalizer, the oracle of `canon.normalize_text` and
+# `canon.canonicalize`: a (title, creator) tuple and a key list per
+# signature, a dict disjoint set over every key.
+
+_STRIP_RE = re.compile(r"[^0-9a-z ]+")
+_SPACE_RE = re.compile(r" +")
+
+
+def normalize_text(text: str) -> str:
+    """Lowercase, drop anything that is not a letter, digit or space, collapse runs of spaces."""
+    cleaned = _STRIP_RE.sub(" ", text.lower())
+    return _SPACE_RE.sub(" ", cleaned).strip()
+
+
+class _DisjointSet:
+    def __init__(self):
+        self.parent: dict[str, str] = {}
+
+    def add(self, x: str):
+        if x not in self.parent:
+            self.parent[x] = x
+
+    def find(self, x: str) -> str:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: str, b: str):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def build_catalog(
+    all_keys: Iterable[str], pairs: Iterable[tuple[str, str]]
+) -> CanonicalCatalog:
+    """Disjoint-set closure of pairs over the full key universe."""
+    ds = _DisjointSet()
+    for key in all_keys:
+        ds.add(key)
+    for a, b in pairs:
+        ds.add(a)
+        ds.add(b)
+        ds.union(a, b)
+    members: dict[str, list[str]] = {}
+    for key in ds.parent:
+        members.setdefault(ds.find(key), []).append(key)
+    mapping: dict[str, str] = {}
+    groups: dict[str, list[str]] = {}
+    for bunch in members.values():
+        bunch.sort()
+        canon_id = bunch[0]
+        groups[canon_id] = bunch
+        for key in bunch:
+            mapping[key] = canon_id
+    return CanonicalCatalog(mapping, groups)
+
+
+def canonicalize(
+    rows: Iterable[tuple[str, str, str]],
+    window: int = DEFAULT_WINDOW,
+    max_edit: int = DEFAULT_MAX_EDIT,
+) -> CanonicalCatalog:
+    """Full pipeline over (item_key, title, creator) rows.
+
+    Each row's text is normalized once, and rows sharing an identical
+    normalized signature collapse into one slot before the windowed
+    comparison; the edition fields are derived once per distinct signature,
+    and pairing operates on the distinct, sorted signatures.
+    """
+    by_signature: dict[tuple[str, str], list[str]] = {}
+    for key, title, creator in rows:
+        by_signature.setdefault((normalize_text(title), normalize_text(creator)), []).append(key)
+
+    signatures = sorted(by_signature)
+    distinct = [_raw_item(min(by_signature[sig]), *sig) for sig in signatures]
+    pair_keys = [(a.item_key, b.item_key) for a, b in candidate_pairs(distinct, window, max_edit)]
+
+    all_keys: list[str] = []
+    same_signature: list[tuple[str, str]] = []
+    for sig in signatures:
+        keys = by_signature[sig]
+        all_keys.extend(keys)
+        head = min(keys)
+        same_signature.extend((head, k) for k in keys if k != head)
+
+    return build_catalog(all_keys, pair_keys + same_signature)

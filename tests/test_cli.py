@@ -336,8 +336,16 @@ class TestExitCodes:
             ("item_key,canonical_id\n,K0000001\n", "{path}:2: empty item_key"),
             ("item_key,canonical_id\nK0000001,K0000001\nK0000001,K0000064\n",
              "{path}:2 and {path}:3: item_key 'K0000001' mapped to both 'K0000001' and 'K0000064'"),
+            # the first row's line comes from a second read: blank lines, a quoted
+            # key over two lines and an identical repeated row must not shift it
+            ('item_key,canonical_id\n\n"K00\n02",K0000001\n\nK0000002,K0000001\n'
+             "K0000003,K0000003\nK0000002,K0000001\n\nK0000002,K0000064\n",
+             "{path}:6 and {path}:10: item_key 'K0000002' mapped to both 'K0000001' and 'K0000064'"),
         ],
-        ids=["no-rows", "rows", "short-row", "empty-canonical-id", "empty-item-key", "key-twice"],
+        ids=[
+            "no-rows", "rows", "short-row", "empty-canonical-id", "empty-item-key", "key-twice",
+            "key-twice-after-blank-and-repeated-rows",
+        ],
     )
     def test_catalog_without_mapping_columns_is_data_error(
         self, tmp_path, capsys, catalog, message

@@ -46,6 +46,20 @@ class TestAggregate:
         assert dists[0].counts == {"a": 2}
         assert report.unknown_keys == 0
 
+    def test_renamed_keys_and_their_id_as_a_key_share_one_cell(self, tmp_path):
+        # "a" is not in the catalog, so it is its own id, the id of "a1" and "a2"
+        mapping = {"a1": "a", "a2": "a", "b1": "b"}
+        catalog = CanonicalCatalog(mapping, {"a": ["a1", "a2"], "b": ["b1"]})
+        day = date(2022, 3, 5)
+        events = [loan(day, "z"), loan(day, "a2"), loan(day, "b1"), loan(day, "a"), loan(day, "a1")]
+        events += [loan(date(2022, 4, 1), key) for key in ("a1", "a", "a", "z")]
+        dists, report = aggregate_log(tmp_path / "ev.csv", events, catalog=catalog)
+        assert [list(d.counts.items()) for d in dists] == [
+            [("z", 1), ("a", 3), ("b", 1)],
+            [("a", 3), ("z", 1)],
+        ]
+        assert report.unknown_keys == 5  # "z" and "a" are not in the catalog
+
     def test_unknown_keys_pass_through_counted(self, tmp_path):
         catalog = CanonicalCatalog({"a1": "a"}, {"a": ["a1"]})
         events = [loan(date(2022, 3, 5), "zz")]
