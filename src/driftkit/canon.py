@@ -6,8 +6,8 @@ edit distance 1 and whose edition digits agree (a missing digit counts as
 edition 1), then take the transitive closure of the pairs.
 
 Normalizing lowercases the text and keeps its runs of ASCII letters and
-digits, joined by single spaces; everything else (punctuation, accents,
-whitespace of any kind) only separates words.
+digits, joined by single spaces; everything else (punctuation, whitespace
+of any kind, accented letters) only separates words.
 """
 
 from __future__ import annotations
@@ -270,7 +270,9 @@ def canonicalize(
             later_heads.append(head)
             later_keys.append(key)
 
-    distinct: list = sorted(first)  # the signatures, each replaced in place by its item
+    # the sorted signatures, each replaced in place by its item, so each string
+    # is freed as its item is made; the items go before the catalog is built
+    distinct: list = sorted(first)
     heads = [first[signature] for signature in distinct]
     del first
     for i, head in enumerate(heads):

@@ -83,17 +83,6 @@ def test_canonicalize_equals_the_reference(rows, window, max_edit):
     assert list(got.groups.items()) == list(want.groups.items())
 
 
-@settings(max_examples=100, deadline=None)
-@given(corpora(), st.randoms(use_true_random=False))
-def test_shuffled_rows_give_the_same_catalog(rows, random):
-    shuffled = list(rows)
-    random.shuffle(shuffled)
-    got, want = canonicalize(shuffled), oracle.canonicalize(shuffled)
-    assert list(got.mapping.items()) == list(want.mapping.items())
-    assert list(got.groups.items()) == list(want.groups.items())
-    assert canonicalize(rows).mapping == got.mapping
-
-
 def memory_corpus(n_bases: int, seed: int) -> list[tuple[str, str, str]]:
     """Five rows per base title: itself, a typo, punctuation, edition 1 and an edition-2 decoy."""
     rng = np.random.default_rng(seed)
