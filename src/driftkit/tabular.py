@@ -113,7 +113,7 @@ def read_mapping(path: Path) -> CanonicalCatalog:
                 f"{path}:{first} and {path}:{line}: item_key {key!r} "
                 f"mapped to both {mapping[key]!r} and {cid!r}"
             )
-    del ids
+    del ids  # before the groups are built, which lowers the peak
     groups: dict[str, list[str]] = {}
     for key, cid in mapping.items():
         groups.setdefault(cid, []).append(key)
