@@ -21,21 +21,13 @@ DEFAULT_WINDOW = 10
 DEFAULT_MAX_EDIT = 1
 
 _WORDS = re.compile(r"[0-9a-z]+").findall
-# per byte of ASCII text: a letter lowercased, a digit kept, anything else a space
-_ASCII_FOLD = bytes(
-    ord(ch.lower()) if ch.isascii() and ch.isalnum() else 32 for ch in map(chr, range(256))
-)
 
 
 def normalize_text(text: str) -> str:
     """The lowercased text's runs of ASCII letters and digits, joined by single spaces.
 
-    ASCII text, one byte per character, takes a byte translation; other text
-    the same rule as a regex, after a Unicode ``lower`` (which can yield ASCII
-    letters, as the Kelvin sign's "k" does).
+    ``lower`` is Unicode's, so it can yield ASCII letters (the Kelvin sign's "k").
     """
-    if text.isascii():
-        return b" ".join(text.encode().translate(_ASCII_FOLD).split()).decode()
     return " ".join(_WORDS(text.lower()))
 
 

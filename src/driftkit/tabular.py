@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from contextlib import closing
+from array import array
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable
@@ -85,35 +85,30 @@ def write_mapping(path: Path, mapping: dict[str, str]):
     _write_csv(path, ["item_key", "canonical_id"], ([k, mapping[k]] for k in sorted(mapping)))
 
 
-def _mapping_rows(path: Path):
-    """(line, item_key, canonical_id) of each data row of a catalog file."""
-    missing = "catalog {path}: expected columns item_key,canonical_id"
-    names = ("item_key", "canonical_id")
-    handle, reader, cols = open_table(path, {c: c for c in names}, names, missing)
-    i_key, i_cid = cols["item_key"], cols["canonical_id"]
-    for row in table_rows(path, handle, reader, max(i_key, i_cid) + 1, missing, cols.items()):
-        yield reader.line_num, row[i_key], row[i_cid]
-
-
 def read_mapping(path: Path) -> CanonicalCatalog:
     """The catalog `write_mapping` wrote: item_key,canonical_id rows, neither empty.
 
     A key mapped to two canonical ids is a SchemaError naming both rows'
-    PATH:LINE, the first found by reading the file again; a repeated
-    identical row is accepted. The keys of one canonical id share its string.
+    PATH:LINE; a repeated identical row is accepted. The keys of one
+    canonical id share its string.
     """
+    missing = "catalog {path}: expected columns item_key,canonical_id"
+    names = ("item_key", "canonical_id")
+    handle, reader, cols = open_table(path, {c: c for c in names}, names, missing)
+    i_key, i_cid = cols["item_key"], cols["canonical_id"]
     mapping: dict[str, str] = {}
     ids: dict[str, str] = {}
-    for line, key, cid in _mapping_rows(path):
-        cid = ids.setdefault(cid, cid)
+    lines = array("q")  # each key's first line, in mapping order
+    for row in table_rows(path, handle, reader, max(i_key, i_cid) + 1, missing, cols.items()):
+        key, cid = row[i_key], ids.setdefault(row[i_cid], row[i_cid])
         if mapping.setdefault(key, cid) != cid:
-            with closing(_mapping_rows(path)) as again:
-                first = next(n for n, k, _ in again if k == key)
             raise SchemaError(
-                f"{path}:{first} and {path}:{line}: item_key {key!r} "
-                f"mapped to both {mapping[key]!r} and {cid!r}"
+                f"{path}:{lines[list(mapping).index(key)]} and {path}:{reader.line_num}: "
+                f"item_key {key!r} mapped to both {mapping[key]!r} and {cid!r}"
             )
-    del ids  # before the groups are built, which lowers the peak
+        if len(lines) < len(mapping):
+            lines.append(reader.line_num)
+    del ids, lines  # before the groups are built, which lowers the peak
     groups: dict[str, list[str]] = {}
     for key, cid in mapping.items():
         groups.setdefault(cid, []).append(key)

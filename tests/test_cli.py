@@ -336,8 +336,8 @@ class TestExitCodes:
             ("item_key,canonical_id\n,K0000001\n", "{path}:2: empty item_key"),
             ("item_key,canonical_id\nK0000001,K0000001\nK0000001,K0000064\n",
              "{path}:2 and {path}:3: item_key 'K0000001' mapped to both 'K0000001' and 'K0000064'"),
-            # the first row's line comes from a second read: blank lines, a quoted
-            # key over two lines and an identical repeated row must not shift it
+            # blank lines, a quoted key over two lines and an identical repeated
+            # row must not shift the first row's line
             ('item_key,canonical_id\n\n"K00\n02",K0000001\n\nK0000002,K0000001\n'
              "K0000003,K0000003\nK0000002,K0000001\n\nK0000002,K0000064\n",
              "{path}:6 and {path}:10: item_key 'K0000002' mapped to both 'K0000001' and 'K0000064'"),
@@ -359,6 +359,23 @@ class TestExitCodes:
         assert code == 2
         assert message.format(path=path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_conflicting_catalog_from_a_pipe_names_both_lines(self, tmp_path, capsys):
+        # a pipe can be read once: both lines must come from that one read
+        r, w = os.pipe()
+        os.write(w, b"item_key,canonical_id\n\nK0000002,K0000001\nK0000002,K0000064\n")
+        os.close(w)
+        path = f"/dev/fd/{r}"
+        try:
+            code = run(
+                "drift", "local", "--input", str(FIXTURE), "--catalog", path,
+                "--output-dir", str(tmp_path / "out"),
+            )
+        finally:
+            os.close(r)
+        assert code == 2
+        assert f"{path}:3 and {path}:4: item_key 'K0000002'" in capsys.readouterr().err
 
     def test_repeated_identical_catalog_row_is_accepted(self, tmp_path):
         path = tmp_path / "mapping.csv"
