@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from array import array
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable
@@ -98,13 +97,14 @@ def read_mapping(path: Path) -> CanonicalCatalog:
     i_key, i_cid = cols["item_key"], cols["canonical_id"]
     mapping: dict[str, str] = {}
     ids: dict[str, str] = {}
-    lines = array("q")  # each key's first line, in mapping order
+    lines: list[int] = []  # each key's first line, in mapping order
     for row in table_rows(path, handle, reader, max(i_key, i_cid) + 1, missing, cols.items()):
         key, cid = row[i_key], ids.setdefault(row[i_cid], row[i_cid])
         if mapping.setdefault(key, cid) != cid:
+            first = lines[list(mapping).index(key)]
             raise SchemaError(
-                f"{path}:{lines[list(mapping).index(key)]} and {path}:{reader.line_num}: "
-                f"item_key {key!r} mapped to both {mapping[key]!r} and {cid!r}"
+                f"{path}:{first} and {path}:{reader.line_num}: item_key {key!r} "
+                f"mapped to both {mapping[key]!r} and {cid!r}"
             )
         if len(lines) < len(mapping):
             lines.append(reader.line_num)
