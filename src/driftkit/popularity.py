@@ -291,7 +291,7 @@ def aggregate(
     lead = np.arange(len(keys))
     first: dict[str, int] = {}
     sharing = np.flatnonzero(shared).tolist()
-    lead[sharing] = [first.setdefault(i, c) for i, c in zip(cid[sharing].tolist(), sharing)]
+    lead[sharing] = list(map(first.setdefault, cid[sharing].tolist(), sharing))
 
     sizes = [len(tally.counts) for tally in tallies]
     n = sum(sizes)
