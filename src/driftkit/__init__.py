@@ -16,7 +16,7 @@ from .analysis import (
     trajectory_panel,
     transition_matrix,
 )
-from .canon import CanonicalCatalog, RawItem, build_catalog, candidate_pairs, canonicalize, normalize
+from .canon import CanonicalCatalog, build_catalog, canonicalize
 from .divergence import (
     ContributionBreakdown,
     DriftValue,

@@ -1,9 +1,10 @@
 """Merge edition and media variants of the same title into one canonical item.
 
-The rule set: normalize titles/creators, sort lexicographically, compare each
-row against the next ten, pair rows whose titles and creators are both within
-edit distance 1 and whose edition digits agree (a missing digit counts as
-edition 1), then take the transitive closure of the pairs.
+The rule set is one pass: normalize titles/creators, sort the distinct
+(title, creator) signatures, compare each with the ten before it, pair two
+whose digit-free titles and creators are both within edit distance 1 and
+whose edition digits agree (a missing digit counts as edition 1), then take
+the transitive closure of the pairs.
 
 Normalizing lowercases the text and keeps its runs of ASCII letters and
 digits, joined by single spaces; everything else (punctuation, whitespace
@@ -13,9 +14,10 @@ of any kind, accented letters) only separates words.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 DEFAULT_WINDOW = 10
 DEFAULT_MAX_EDIT = 1
@@ -46,42 +48,15 @@ def digit_token(title_norm: str) -> str | None:
     return token
 
 
-def _strip_digit_token(title_norm: str, token: str) -> str:
-    words = title_norm.split(" ")
-    for i in range(len(words) - 1, -1, -1):
-        if words[i] == token:
-            del words[i]
-            break
-    return " ".join(words)
-
-
-@dataclass(frozen=True, slots=True)
-class RawItem:
-    """Normalized view of one catalog row, its derived fields set once.
-
-    ``title_core`` is the title with the edition digit removed, the basis for
-    edit-distance checks; ``edition`` is the numeric edition, with a missing
-    digit reading as edition 1.
-    """
-
-    item_key: str
-    title_norm: str
-    creator_norm: str
-    digit_token: str | None
-    title_core: str
-    edition: int
-
-
-def _raw_item(item_key: str, title_norm: str, creator_norm: str) -> RawItem:
+def _edition(title_norm: str) -> tuple[str, int]:
+    """The title without its edition digit, the basis of edit-distance checks,
+    and the edition number, a missing digit reading as edition 1."""
     token = digit_token(title_norm)
     if token is None:
-        return RawItem(item_key, title_norm, creator_norm, None, title_norm, 1)
-    core = _strip_digit_token(title_norm, token)
-    return RawItem(item_key, title_norm, creator_norm, token, core, int(token))
-
-
-def normalize(item_key: str, title: str, creator: str) -> RawItem:
-    return _raw_item(item_key, normalize_text(title), normalize_text(creator))
+        return title_norm, 1
+    words = title_norm.split(" ")
+    del words[len(words) - 1 - words[::-1].index(token)]  # the token's last occurrence
+    return " ".join(words), int(token)
 
 
 def edit_distance_at_most(a: str, b: str, limit: int) -> bool:
@@ -132,36 +107,6 @@ def edit_distance_at_most(a: str, b: str, limit: int) -> bool:
             return False
         prev = row
     return prev[lb] <= limit
-
-
-def candidate_pairs(
-    items: Sequence[RawItem],
-    window: int = DEFAULT_WINDOW,
-    max_edit: int = DEFAULT_MAX_EDIT,
-) -> list[tuple[RawItem, RawItem]]:
-    """All variant pairs within a forward window of the sorted item list.
-
-    ``items`` must be sorted by (title_norm, creator_norm) and hold one row
-    per distinct normalized signature. A pair qualifies when the digit-free
-    title cores and the creators are each within ``max_edit`` and the
-    edition digits agree.
-    """
-    pairs = []
-    n = len(items)
-    for i in range(n):
-        a = items[i]
-        a_core = a.title_core
-        a_ed = a.edition
-        for j in range(i + 1, min(i + 1 + window, n)):
-            b = items[j]
-            if b.edition != a_ed:
-                continue
-            if not edit_distance_at_most(a_core, b.title_core, max_edit):
-                continue
-            if not edit_distance_at_most(a.creator_norm, b.creator_norm, max_edit):
-                continue
-            pairs.append((a, b))
-    return pairs
 
 
 class _DisjointSet:
@@ -245,15 +190,16 @@ def canonicalize(
     creator_norm``; ``"\\0"`` sorts below every normalized character, so sorted
     signatures are in (title, creator) order. A signature keeps its first
     key, its head, and a later row of it only adds a (head, key) pair, so rows
-    sharing a signature collapse into one slot before the windowed comparison,
-    which derives the edition fields once per distinct signature. The heads in
+    sharing a signature collapse into one slot. One pass over the sorted
+    signatures derives each one's edition fields and compares it with the
+    ``window`` signatures before it, the only ones kept. The heads in
     signature order are the key universe: `build_catalog` orders the groups
     by their first key there, every group holds a head, and the later keys
     join through their pairs.
     """
     first: dict[str, str] = {}
-    # a later row's key and its signature's head, in two flat lists: a tuple
-    # per row would pin the freed signatures' memory pages
+    # each pair's two keys go in two flat lists, here and in the windowed
+    # comparison: a tuple per pair would pin the freed signatures' memory pages
     later_heads: list[str] = []
     later_keys: list[str] = []
     for key, title, creator in rows:
@@ -262,13 +208,23 @@ def canonicalize(
             later_heads.append(head)
             later_keys.append(key)
 
-    # the sorted signatures, each replaced in place by its item, so each string
-    # is freed as its item is made; the items go before the catalog is built
-    distinct: list = sorted(first)
-    heads = [first[signature] for signature in distinct]
+    heads: list[str] = []
+    lefts: list[str] = []
+    rights: list[str] = []
+    recent: deque[tuple[str, str, int, str]] = deque(maxlen=window)
+    for signature in sorted(first):
+        head = first[signature]
+        title, creator = signature.split("\0")
+        core, edition = _edition(title)
+        for left, left_core, left_edition, left_creator in recent:
+            if (
+                left_edition == edition
+                and edit_distance_at_most(left_core, core, max_edit)
+                and edit_distance_at_most(left_creator, creator, max_edit)
+            ):
+                lefts.append(left)
+                rights.append(head)
+        recent.append((head, core, edition, creator))
+        heads.append(head)
     del first
-    for i, head in enumerate(heads):
-        distinct[i] = _raw_item(head, *distinct[i].split("\0"))
-    pairs = [(a.item_key, b.item_key) for a, b in candidate_pairs(distinct, window, max_edit)]
-    del distinct
-    return build_catalog(heads, chain(pairs, zip(later_heads, later_keys)))
+    return build_catalog(heads, chain(zip(lefts, rights), zip(later_heads, later_keys)))

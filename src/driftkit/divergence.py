@@ -97,7 +97,7 @@ class Measure:
             return JSD_BITS
         if self.kind == "jaccard":
             return JACCARD
-        return f"jsd_alpha_norm({self.alpha:g})"
+        return f"jsd_alpha_norm({self.alpha + 0.0:g})"  # -0.0 + 0.0 is 0.0
 
 
 @dataclass(frozen=True)

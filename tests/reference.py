@@ -11,8 +11,8 @@ ingest tally; ``tallies_of`` builds one pass's tallies by hand;
 ``partials`` splits JSD, alpha-JSD or the Jaccard distance of two plain
 dicts into per-item shares, and ``value`` sums them. ``normalize_text``,
 ``build_catalog`` and ``canonicalize`` are the plain canonicalizer (two regex
-substitutions, a (title, creator) tuple and a key list per signature) over the
-library's item builder and window pairing.
+substitutions, a (title, creator) tuple and a key list per signature, one
+``RawItem`` per signature and a forward window over the sorted items).
 """
 
 from __future__ import annotations
@@ -23,15 +23,15 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from driftkit import events
 from driftkit.canon import (
     DEFAULT_MAX_EDIT,
     DEFAULT_WINDOW,
     CanonicalCatalog,
-    _raw_item,
-    candidate_pairs,
+    digit_token,
+    edit_distance_at_most,
 )
 from driftkit.events import Category, CohortFilter, Education, Medium, Residence, Sex
 
@@ -222,7 +222,8 @@ def value(kind: str, P: Mapping[str, float], Q: Mapping[str, float], alpha=None)
 
 # The plain canonicalizer, the oracle of `canon.normalize_text` and
 # `canon.canonicalize`: a (title, creator) tuple and a key list per
-# signature, a dict disjoint set over every key.
+# signature, an item per signature paired within a forward window, a dict
+# disjoint set over every key.
 
 _STRIP_RE = re.compile(r"[^0-9a-z ]+")
 _SPACE_RE = re.compile(r" +")
@@ -232,6 +233,70 @@ def normalize_text(text: str) -> str:
     """Lowercase, drop anything that is not a letter, digit or space, collapse runs of spaces."""
     cleaned = _STRIP_RE.sub(" ", text.lower())
     return _SPACE_RE.sub(" ", cleaned).strip()
+
+
+def _strip_digit_token(title_norm: str, token: str) -> str:
+    words = title_norm.split(" ")
+    for i in range(len(words) - 1, -1, -1):
+        if words[i] == token:
+            del words[i]
+            break
+    return " ".join(words)
+
+
+@dataclass(frozen=True, slots=True)
+class RawItem:
+    """Normalized view of one catalog row, its derived fields set once.
+
+    ``title_core`` is the title with the edition digit removed, the basis for
+    edit-distance checks; ``edition`` is the numeric edition, with a missing
+    digit reading as edition 1.
+    """
+
+    item_key: str
+    title_norm: str
+    creator_norm: str
+    digit_token: str | None
+    title_core: str
+    edition: int
+
+
+def _raw_item(item_key: str, title_norm: str, creator_norm: str) -> RawItem:
+    token = digit_token(title_norm)
+    if token is None:
+        return RawItem(item_key, title_norm, creator_norm, None, title_norm, 1)
+    core = _strip_digit_token(title_norm, token)
+    return RawItem(item_key, title_norm, creator_norm, token, core, int(token))
+
+
+def candidate_pairs(
+    items: Sequence[RawItem],
+    window: int = DEFAULT_WINDOW,
+    max_edit: int = DEFAULT_MAX_EDIT,
+) -> list[tuple[RawItem, RawItem]]:
+    """All variant pairs within a forward window of the sorted item list.
+
+    ``items`` must be sorted by (title_norm, creator_norm) and hold one row
+    per distinct normalized signature. A pair qualifies when the digit-free
+    title cores and the creators are each within ``max_edit`` and the
+    edition digits agree.
+    """
+    pairs = []
+    n = len(items)
+    for i in range(n):
+        a = items[i]
+        a_core = a.title_core
+        a_ed = a.edition
+        for j in range(i + 1, min(i + 1 + window, n)):
+            b = items[j]
+            if b.edition != a_ed:
+                continue
+            if not edit_distance_at_most(a_core, b.title_core, max_edit):
+                continue
+            if not edit_distance_at_most(a.creator_norm, b.creator_norm, max_edit):
+                continue
+            pairs.append((a, b))
+    return pairs
 
 
 class _DisjointSet:

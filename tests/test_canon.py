@@ -4,28 +4,33 @@ from hypothesis import strategies as st
 
 from driftkit.canon import (
     build_catalog,
-    candidate_pairs,
     canonicalize,
     digit_token,
     edit_distance_at_most,
-    normalize,
     normalize_text,
 )
 
 
+def merged(rows, **kwargs):
+    """The groups of more than one key that ``canonicalize`` makes of ``rows``."""
+    catalog = canonicalize(rows, **kwargs)
+    return [group for group in catalog.groups.values() if len(group) > 1]
+
+
 class TestNormalize:
     def test_special_characters_removed(self):
-        item = normalize("k1", "Pixel Ninja!", "A. Writer")
-        assert item.title_norm == "pixel ninja"
-        assert item.digit_token is None
-        assert item.creator_norm == "a writer"
+        assert normalize_text("Pixel Ninja!") == "pixel ninja"
+        assert digit_token("pixel ninja") is None
+        assert normalize_text("A. Writer") == "a writer"
 
     def test_edition_digit_kept(self):
-        item = normalize("k2", "Pixel Ninja 1", "A. Writer")
-        assert item.title_norm == "pixel ninja 1"
-        assert item.digit_token == "1"
-        assert item.edition == 1
-        assert item.title_core == "pixel ninja"
+        assert normalize_text("Pixel Ninja 1") == "pixel ninja 1"
+        assert digit_token("pixel ninja 1") == "1"
+        # only the digit-free core is one edit from "pixel ninjas"
+        rows = [("k1", "Pixel Ninja 1", "A. Writer"), ("k2", "Pixel Ninjas", "A. Writer")]
+        assert merged(rows) == [["k1", "k2"]]
+        # the marker is the last digit word, so both cores read "2 saga"
+        assert merged([("a", "2 saga 2", "w"), ("b", "2 2 saga", "w")]) == [["a", "b"]]
 
     def test_case_and_space_collapse(self):
         assert normalize_text("HARRY  POTTER") == "harry potter"
@@ -42,11 +47,8 @@ class TestNormalize:
         assert digit_token("plain title") is None
 
     def test_missing_digit_reads_as_edition_one(self):
-        a = normalize("k", "Pixel Ninja", "w")
-        b = normalize("k", "Pixel Ninja 1", "w")
-        c = normalize("k", "Pixel Ninja 2", "w")
-        assert a.edition == b.edition == 1
-        assert c.edition == 2
+        rows = [("a", "Pixel Ninja", "w"), ("b", "Pixel Ninja 1", "w"), ("c", "Pixel Ninja 2", "w")]
+        assert merged(rows) == [["a", "b"]]
 
 
 def levenshtein(a, b):
@@ -115,50 +117,32 @@ class TestEditDistance:
         assert edit_distance_at_most(b, a, 1) is want
 
 
-def _item(key, title, creator="same writer"):
-    return normalize(key, title, creator)
-
-
 class TestCandidatePairs:
+    """Which signatures the windowed comparison pairs."""
+
     def test_edition_variant_pairs(self):
-        items = sorted(
-            [_item("a", "pixel ninja"), _item("b", "pixel ninja 1")],
-            key=lambda x: (x.title_norm, x.creator_norm),
-        )
-        pairs = candidate_pairs(items)
-        assert [(a.item_key, b.item_key) for a, b in pairs] == [("a", "b")]
+        rows = [("a", "pixel ninja", "same writer"), ("b", "pixel ninja 1", "same writer")]
+        assert merged(rows) == [["a", "b"]]
 
     def test_different_editions_do_not_pair(self):
-        items = sorted(
-            [_item("a", "pixel ninja 1"), _item("b", "pixel ninja 2")],
-            key=lambda x: (x.title_norm, x.creator_norm),
-        )
-        assert candidate_pairs(items) == []
+        rows = [("a", "pixel ninja 1", "same writer"), ("b", "pixel ninja 2", "same writer")]
+        assert merged(rows) == []
 
     def test_typo_title_pairs(self):
-        items = sorted(
-            [_item("a", "mara s song"), _item("b", "maras song")],
-            key=lambda x: (x.title_norm, x.creator_norm),
-        )
-        pairs = candidate_pairs(items)
-        assert [(a.item_key, b.item_key) for a, b in pairs] == [("a", "b")]
+        rows = [("a", "mara s song", "same writer"), ("b", "maras song", "same writer")]
+        assert merged(rows) == [["a", "b"]]
 
     def test_creator_distance_blocks(self):
-        items = sorted(
-            [_item("a", "same title", "writer one"), _item("b", "same title", "other person")],
-            key=lambda x: (x.title_norm, x.creator_norm),
-        )
-        assert candidate_pairs(items) == []
+        rows = [("a", "same title", "writer one"), ("b", "same title", "other person")]
+        assert merged(rows) == []
 
     def test_window_limits_comparisons(self):
         # 11 distinct fillers sort between the two variants, pushing them apart
-        items = [_item("a", "aaa x")]
-        items += [_item(f"f{i}", f"aaa x{chr(98 + i)} yyyy {chr(98 + i)}{chr(98 + i)}") for i in range(11)]
-        items += [_item("b", "aaa y")]  # distance 1 from "aaa x"
-        items.sort(key=lambda x: (x.title_norm, x.creator_norm))
-        assert candidate_pairs(items, window=5) == []
-        wide = candidate_pairs(items, window=len(items))
-        assert [(a.item_key, b.item_key) for a, b in wide] == [("a", "b")]
+        titles = ["aaa x", "aaa y"]  # distance 1
+        titles += [f"aaa x{c} yyyy {c}{c}" for c in "bcdefghijkl"]
+        rows = [(f"k{i}", title, "same writer") for i, title in enumerate(titles)]
+        assert merged(rows, window=5) == []
+        assert merged(rows, window=len(rows)) == [["k0", "k1"]]
 
 
 class TestBuildCatalog:

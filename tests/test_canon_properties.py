@@ -6,7 +6,8 @@ included, since ``write_mapping`` and every caller of a catalog read them in
 that order. The corpora are drawn to hit what the signature-keyed code treats
 apart: repeated signatures and keys, titles that normalize to nothing, empty
 creators, edition tokens of one to three digits, edit-1 neighbours and row
-order. The memory guard keeps a per-row tuple or list from coming back.
+order. The memory guard keeps a per-row tuple or list, or a per-signature
+item list, from coming back.
 """
 
 import tracemalloc
@@ -113,10 +114,10 @@ def traced_peak(fn, *args) -> int:
 
 
 # On the 20k-row corpus below (x86-64, CPython 3.11.7) the plain canonicalizer
-# of tests/reference.py peaks at 507 B/row and the signature-keyed one at
-# 279 B/row, 0.55 of it; the bound is that ratio + 25%. A ratio, not a byte
+# of tests/reference.py peaks at 506-512 B/row and the one-pass one at
+# 123 B/row, 0.24 of it; the bound is that ratio + 25%. A ratio, not a byte
 # count, since object sizes differ between CPython versions.
-PEAK_RATIO_TO_REFERENCE = 0.69
+PEAK_RATIO_TO_REFERENCE = 0.30
 
 
 def test_canonicalize_peak_memory_against_reference():

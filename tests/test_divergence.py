@@ -259,6 +259,9 @@ class TestMeasureDispatch:
         assert Measure("jsd").label == "jsd_bits"
         assert Measure("jaccard").label == "jaccard"
         assert Measure("jsd_alpha", 0.5).label == "jsd_alpha_norm(0.5)"
+        # equal measures share a label
+        assert Measure("jsd_alpha", -0.0) == Measure("jsd_alpha", 0.0)
+        assert Measure("jsd_alpha", -0.0).label == "jsd_alpha_norm(0)"
 
     def test_dispatch(self):
         assert divergence_of(Measure("jsd"), POINT, HALF).value == jsd(POINT, HALF).value
