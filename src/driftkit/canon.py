@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
@@ -134,16 +135,25 @@ class _DisjointSet:
 
 @dataclass
 class CanonicalCatalog:
-    """Partition of raw item keys into canonical items.
+    """Partition of raw item keys into canonical items, held as its mapping.
 
-    The canonical id of a group is its lexicographically smallest item key.
+    ``mapping`` sends each raw key to its canonical id, the lexicographically
+    smallest item key of its group. A catalog is its mapping: ``groups``
+    (each canonical id's keys, in mapping order) is derived from it when
+    first read.
     """
 
     mapping: dict[str, str]
-    groups: dict[str, list[str]]
 
     def canonical(self, item_key: str) -> str:
         return self.mapping.get(item_key, item_key)
+
+    @cached_property
+    def groups(self) -> dict[str, list[str]]:
+        groups: dict[str, list[str]] = {}
+        for key, canon_id in self.mapping.items():
+            groups.setdefault(canon_id, []).append(key)
+        return groups
 
     @property
     def n_items(self) -> int:
@@ -157,7 +167,8 @@ class CanonicalCatalog:
 def build_catalog(
     all_keys: Iterable[str], pairs: Iterable[tuple[str, str]]
 ) -> CanonicalCatalog:
-    """Disjoint-set closure of pairs over the full key universe."""
+    """Disjoint-set closure of pairs over the full key universe; the mapping
+    runs group by group, each sorted, in the order of their first keys there."""
     ds = _DisjointSet()
     for key in all_keys:
         ds.add(key)
@@ -169,14 +180,10 @@ def build_catalog(
     for key in ds.parent:
         members.setdefault(ds.find(key), []).append(key)
     mapping: dict[str, str] = {}
-    groups: dict[str, list[str]] = {}
     for bunch in members.values():
         bunch.sort()
-        canon_id = bunch[0]
-        groups[canon_id] = bunch
-        for key in bunch:
-            mapping[key] = canon_id
-    return CanonicalCatalog(mapping, groups)
+        mapping.update(dict.fromkeys(bunch, bunch[0]))
+    return CanonicalCatalog(mapping)
 
 
 def canonicalize(
@@ -195,8 +202,13 @@ def canonicalize(
     ``window`` signatures before it, the only ones kept. The heads in
     signature order are the key universe: `build_catalog` orders the groups
     by their first key there, every group holds a head, and the later keys
-    join through their pairs.
+    join through their pairs. A ``window`` below 1 or a ``max_edit`` below 0
+    raises ValueError before any row is read.
     """
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    if max_edit < 0:
+        raise ValueError(f"max_edit must be at least 0, got {max_edit}")
     first: dict[str, str] = {}
     # each pair's two keys go in two flat lists, here and in the windowed
     # comparison: a tuple per pair would pin the freed signatures' memory pages

@@ -441,10 +441,10 @@ def _tally_stream(handle, reader, columns, window, exclude, max_bad, granularity
             d = from_iso(text)
         except ValueError:
             return _BAD
-        if window is not None and not (window.start <= d <= window.end):
+        if window is not None and not window.contains(d):
             return d, None, 1
         for rng in exclude:
-            if rng.start <= d <= rng.end:
+            if rng.contains(d):
                 return d, None, 2
         tb = assign_bin(d, granularity)
         tally = tallies.get(tb.index)

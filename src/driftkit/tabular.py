@@ -108,11 +108,7 @@ def read_mapping(path: Path) -> CanonicalCatalog:
             )
         if len(lines) < len(mapping):
             lines.append(reader.line_num)
-    del ids, lines  # before the groups are built, which lowers the peak
-    groups: dict[str, list[str]] = {}
-    for key, cid in mapping.items():
-        groups.setdefault(cid, []).append(key)
-    return CanonicalCatalog(mapping, groups)
+    return CanonicalCatalog(mapping)
 
 
 def read_items_table(path: Path) -> list[tuple[str, str, str]]:

@@ -12,7 +12,8 @@ ingest tally; ``tallies_of`` builds one pass's tallies by hand;
 dicts into per-item shares, and ``value`` sums them. ``normalize_text``,
 ``build_catalog`` and ``canonicalize`` are the plain canonicalizer (two regex
 substitutions, a (title, creator) tuple and a key list per signature, one
-``RawItem`` per signature and a forward window over the sorted items).
+``RawItem`` per signature and a forward window over the sorted items); its
+``Catalog`` record holds a mapping and groups that its own loops build.
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from datetime import date
 from typing import Iterable, Mapping, Sequence
 
 from driftkit import events
-from driftkit.canon import (
-    DEFAULT_MAX_EDIT,
-    DEFAULT_WINDOW,
-    CanonicalCatalog,
-    digit_token,
-    edit_distance_at_most,
-)
+from driftkit.canon import DEFAULT_MAX_EDIT, DEFAULT_WINDOW, digit_token, edit_distance_at_most
 from driftkit.events import Category, CohortFilter, Education, Medium, Residence, Sex
 
 # the optional enum columns: schema field, enum, the member of a missing or unknown value
@@ -322,9 +317,16 @@ class _DisjointSet:
             self.parent[rb] = ra
 
 
-def build_catalog(
-    all_keys: Iterable[str], pairs: Iterable[tuple[str, str]]
-) -> CanonicalCatalog:
+@dataclass
+class Catalog:
+    """The reference canonicalizer's result: each key's canonical id, and
+    each canonical id's keys, both built by its own loops."""
+
+    mapping: dict[str, str]
+    groups: dict[str, list[str]]
+
+
+def build_catalog(all_keys: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Catalog:
     """Disjoint-set closure of pairs over the full key universe."""
     ds = _DisjointSet()
     for key in all_keys:
@@ -344,14 +346,14 @@ def build_catalog(
         groups[canon_id] = bunch
         for key in bunch:
             mapping[key] = canon_id
-    return CanonicalCatalog(mapping, groups)
+    return Catalog(mapping, groups)
 
 
 def canonicalize(
     rows: Iterable[tuple[str, str, str]],
     window: int = DEFAULT_WINDOW,
     max_edit: int = DEFAULT_MAX_EDIT,
-) -> CanonicalCatalog:
+) -> Catalog:
     """Full pipeline over (item_key, title, creator) rows.
 
     Each row's text is normalized once, and rows sharing an identical

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftkit.canon import (
+    CanonicalCatalog,
     build_catalog,
     canonicalize,
     digit_token,
@@ -162,6 +163,15 @@ class TestBuildCatalog:
         assert catalog.groups["a1"] == ["a1", "m5", "z9"]
 
 
+class TestCanonicalCatalog:
+    def test_groups_are_derived_from_the_mapping_in_its_order(self):
+        catalog = CanonicalCatalog({"a1": "a", "a2": "a", "b": "b"})
+        assert (catalog.n_items, catalog.n_canonical) == (3, 2)
+        assert list(catalog.groups.items()) == [("a", ["a1", "a2"]), ("b", ["b"])]
+        catalog = CanonicalCatalog({"b": "b", "a2": "a", "a1": "a"})
+        assert list(catalog.groups.items()) == [("b", ["b"]), ("a", ["a2", "a1"])]
+
+
 def synth_corpus(n_bases, rng):
     """Ground-truth corpus: each base has clean/typo/punct/edition variants
     plus a decoy with a different edition digit that must stay separate."""
@@ -232,6 +242,18 @@ class TestCanonicalize:
         assert catalog.n_canonical <= catalog.n_items
         lonely = canonicalize([("a", "first title", "x"), ("b", "completely other", "y")])
         assert lonely.n_canonical == lonely.n_items  # no pairs -> equality
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"window": 0}, "window"), ({"window": -1}, "window"), ({"max_edit": -1}, "max_edit")],
+    )
+    def test_out_of_range_arguments_raise_before_any_row_is_read(self, kwargs, name):
+        def rows():
+            raise AssertionError("a row was read")
+            yield
+
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            canonicalize(rows(), **kwargs)
 
     def test_order_robustness(self, rng):
         rows, _ = synth_corpus(60, rng)

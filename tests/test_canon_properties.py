@@ -6,18 +6,22 @@ included, since ``write_mapping`` and every caller of a catalog read them in
 that order. The corpora are drawn to hit what the signature-keyed code treats
 apart: repeated signatures and keys, titles that normalize to nothing, empty
 creators, edition tokens of one to three digits, edit-1 neighbours and row
-order. The memory guard keeps a per-row tuple or list, or a per-signature
-item list, from coming back.
+order. ``read_mapping`` must give back the catalog that ``write_mapping``
+wrote, and leave its groups to be derived when first read. The memory guard
+keeps a per-row tuple or list, or a per-signature item list, from coming
+back.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as oracle
 from driftkit.canon import canonicalize, normalize_text
+from driftkit.tabular import read_mapping, write_mapping
 
 # punctuation runs, tabs, NBSP, digits, upper case, and letters whose
 # lowercase is or holds ASCII: dotted capital I, Kelvin sign, sharp s
@@ -82,6 +86,30 @@ def test_canonicalize_equals_the_reference(rows, window, max_edit):
     want = oracle.canonicalize(rows, window=window, max_edit=max_edit)
     assert list(got.mapping.items()) == list(want.mapping.items())
     assert list(got.groups.items()) == list(want.groups.items())
+
+
+@pytest.fixture(scope="module")
+def mapping_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("catalog") / "mapping.csv"
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=corpora())
+def test_read_mapping_round_trips_the_catalog(mapping_path, rows):
+    catalog = canonicalize(rows)
+    write_mapping(mapping_path, catalog.mapping)
+    back = read_mapping(mapping_path)
+    # the file is in key order, and each canonical id is its group's smallest key
+    assert list(back.mapping.items()) == sorted(catalog.mapping.items())
+    assert back.groups == catalog.groups and list(back.groups) == sorted(catalog.groups)
+    assert (back.n_items, back.n_canonical) == (catalog.n_items, catalog.n_canonical)
+
+
+def test_read_mapping_leaves_the_groups_unbuilt(tmp_path):
+    write_mapping(tmp_path / "mapping.csv", {"a1": "a1", "a2": "a1", "b": "b"})
+    catalog = read_mapping(tmp_path / "mapping.csv")
+    assert "groups" not in vars(catalog)
+    assert catalog.n_canonical == 2 and "groups" in vars(catalog)
 
 
 def memory_corpus(n_bases: int, seed: int) -> list[tuple[str, str, str]]:

@@ -181,7 +181,7 @@ cohorts = st.builds(
 )
 catalogs = st.none() | st.dictionaries(
     st.sampled_from(KEYS), st.sampled_from(["K1", "K2", "C9"]), max_size=4
-).map(lambda mapping: CanonicalCatalog(mapping, {}))
+).map(CanonicalCatalog)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +232,7 @@ def test_tally_equals_the_reference_reader(
     ids=lambda cohort: cohort.label,
 )
 def test_fixture_tally_equals_the_reference_reader(cohort):
-    catalog = CanonicalCatalog({"K0000002": "K0000001", "K0000003": "K0000001"}, {})
+    catalog = CanonicalCatalog({"K0000002": "K0000001", "K0000003": "K0000001"})
     dists, report, agg = assert_same(FIXTURE, "month", cohort, catalog)
     assert report.accepted == 1000 and agg.matched > 0
     assert_same(

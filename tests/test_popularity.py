@@ -40,7 +40,7 @@ class TestAggregate:
         assert report.matched == 4
 
     def test_catalog_merges_raw_keys(self, tmp_path):
-        catalog = CanonicalCatalog({"a1": "a", "a2": "a"}, {"a": ["a1", "a2"]})
+        catalog = CanonicalCatalog({"a1": "a", "a2": "a"})
         events = [loan(date(2022, 3, 5), "a1"), loan(date(2022, 3, 6), "a2")]
         dists, report = aggregate_log(tmp_path / "ev.csv", events, catalog=catalog)
         assert dists[0].counts == {"a": 2}
@@ -48,8 +48,7 @@ class TestAggregate:
 
     def test_renamed_keys_and_their_id_as_a_key_share_one_cell(self, tmp_path):
         # "a" is not in the catalog, so it is its own id, the id of "a1" and "a2"
-        mapping = {"a1": "a", "a2": "a", "b1": "b"}
-        catalog = CanonicalCatalog(mapping, {"a": ["a1", "a2"], "b": ["b1"]})
+        catalog = CanonicalCatalog({"a1": "a", "a2": "a", "b1": "b"})
         day = date(2022, 3, 5)
         events = [loan(day, "z"), loan(day, "a2"), loan(day, "b1"), loan(day, "a"), loan(day, "a1")]
         events += [loan(date(2022, 4, 1), key) for key in ("a1", "a", "a", "z")]
@@ -61,7 +60,7 @@ class TestAggregate:
         assert report.unknown_keys == 5  # "z" and "a" are not in the catalog
 
     def test_unknown_keys_pass_through_counted(self, tmp_path):
-        catalog = CanonicalCatalog({"a1": "a"}, {"a": ["a1"]})
+        catalog = CanonicalCatalog({"a1": "a"})
         events = [loan(date(2022, 3, 5), "zz")]
         dists, report = aggregate_log(tmp_path / "ev.csv", events, catalog=catalog)
         assert dists[0].counts == {"zz": 1}
