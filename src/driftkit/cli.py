@@ -1,14 +1,14 @@
 """Command-line front end: ingestion, canonicalization, drift analyses, outputs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
-The run options are declared in `config.OPTIONS`; each becomes a flag of
-every analysis subcommand and a config-file key. `ingest-check` and the
-analysis subcommands read the log through one call (`_ingest`): a single
-pass from CSV rows to per-bin counts, with the window, exclusions, cohort
-and granularity applied per row. The analysis subcommands share one run
-frame (`_run`): check the view flags (`--baseline`, `--at`; an empty one
-is unset, and the chosen view must read each one given and get each one
-it requires), build the config, load the distributions (ingest, then
+Each run option (`config.OPTIONS`) is a config-file key and a flag of the
+subcommands that read it (`_add_common`); anywhere else it is a usage error.
+`ingest-check` and the analysis subcommands read the log through one call
+(`_ingest`): a single pass from CSV rows to per-bin counts, with the window,
+exclusions, cohort and granularity applied per row. The analysis subcommands
+share one run frame (`_run`): check the view flags (`--baseline`, `--at`; an
+empty one is unset, and the chosen view must read each one given and get
+each it requires), build the config, load the distributions (ingest, then
 `aggregate` through the catalog), run the analysis, and only then write.
 `canon`, `synth` and the analysis subcommands write through one output frame
 (`_write_outputs`), all or nothing: a failed or interrupted run leaves the
@@ -64,40 +64,39 @@ _at_least_one = partial(_at_least, 1)
 _at_least_zero = partial(_at_least, 0)
 
 
-def _add_common(parser: argparse.ArgumentParser, all_items: bool = False):
-    """Add one flag per run option in `config.OPTIONS`.
+# the `config.OPTIONS` keys each subcommand reads: ingest-check the ingest keys; contrib,
+# transitions and trajectories add catalog and output_dir; drift and predict read all
+_INGEST_KEYS = ("input", "granularity", "window_start", "window_end", "exclude", "sex", "education",
+                "residence", "category", "age_range", "max_malformed_fraction")  # fmt: skip
+_PANEL_KEYS = (*_INGEST_KEYS, "catalog", "output_dir")
 
-    A subcommand with ``all_items`` spans every item with loans, so it
-    rejects --top-k (and the top_k key).
-    """
+
+def _add_common(parser: argparse.ArgumentParser, keys=tuple(OPTIONS)):
+    """Add `--config` and a flag for each run option in ``keys``, and no other."""
     parser.add_argument("--config", help="key = value config file; flags override it")
-    for key, option in OPTIONS.items():
-        help = option.help
-        if all_items and key == "top_k":
-            help = "not accepted: this subcommand spans all items"
+    for key in keys:
+        option = OPTIONS[key]
         parser.add_argument(
             "--" + key.replace("_", "-"),
             dest=key,
             metavar=option.metavar,
-            help=help,
+            help=option.help,
             action="append" if key == "exclude" else "store",
         )
-    parser.set_defaults(all_items=all_items)
+    parser.set_defaults(keys=keys)
 
 
 def _config_from_args(args) -> RunConfig:
     raw = load_config(args.config) if args.config else {}
-    overrides = {key: getattr(args, key) for key in OPTIONS}
+    unread = [key for key in raw if key not in args.keys]
+    if unread:
+        raise UsageError(f"{args.subcommand} does not read config keys: {', '.join(unread)}")
+    # a subcommand without top_k spans every item; None leaves a key unset
+    overrides = {"top_k": "0"} | {key: getattr(args, key) for key in args.keys}
     if overrides["exclude"]:
         overrides["exclude"] = ",".join(overrides["exclude"])
-    if args.all_items:
-        if overrides["top_k"] is not None or "top_k" in raw:
-            raise UsageError(
-                f"{args.subcommand} spans all items; --top-k (config key top_k) is not accepted"
-            )
-        overrides["top_k"] = "0"
     cfg = build_config(raw, overrides)
-    if not (overrides["jobs"] or raw.get("jobs")):  # unset: every usable core
+    if not (overrides.get("jobs") or raw.get("jobs")):  # unset: every usable core
         cfg.estimator = dataclasses.replace(cfg.estimator, jobs=_fork.usable_cores())
     if cfg.input is None:
         raise UsageError("an input event log is required (--input or config `input`)")
@@ -366,7 +365,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("ingest-check", help="parse an event log and print the ingest report")
-    _add_common(p)
+    _add_common(p, _INGEST_KEYS)
     p.set_defaults(func=cmd_ingest_check)
 
     p = sub.add_parser("canon", help="merge title variants into canonical items")
@@ -389,11 +388,11 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=("local", "global"), default="local")
     p.add_argument("--baseline", help="baseline bin start for --kind global")
     p.add_argument("--dump-pair", help="bin start of one pair whose per-item contributions to dump")
-    _add_common(p, all_items=True)
+    _add_common(p, _PANEL_KEYS)
     p.set_defaults(func=_run, analyse=cmd_contrib)
 
     p = sub.add_parser("transitions", help="group-to-group transition matrix, over all items")
-    _add_common(p, all_items=True)
+    _add_common(p, _PANEL_KEYS)
     p.set_defaults(func=_run, analyse=cmd_transitions)
 
     p = sub.add_parser(
@@ -407,7 +406,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=_at_least_one, default=1000, help="items to keep (>= 1)")
     p.add_argument("--at", help="bin start for top_global_contrib")
     p.add_argument("--baseline", help="baseline bin for top_global_contrib")
-    _add_common(p, all_items=True)
+    _add_common(p, _PANEL_KEYS)
     p.set_defaults(func=_run, analyse=cmd_trajectories)
 
     p = sub.add_parser("predict", help="seasonal-naive drift prediction, year over year")

@@ -97,7 +97,8 @@ class Measure:
             return JSD_BITS
         if self.kind == "jaccard":
             return JACCARD
-        return f"jsd_alpha_norm({self.alpha + 0.0:g})"  # -0.0 + 0.0 is 0.0
+        alpha = float(self.alpha) + 0.0  # -0.0 + 0.0 is 0.0; :g unless it loses digits
+        return f"jsd_alpha_norm({f'{alpha:g}' if float(f'{alpha:g}') == alpha else repr(alpha)})"
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import pytest
 
 from driftkit import tabular
 from driftkit.cli import _synth_spec, build_parser, main
+from driftkit.config import OPTIONS
 from driftkit.synthmarket import SynthMarketSpec, generate
 
 FIXTURE = Path(__file__).parent / "fixtures" / "events_1k.csv"
@@ -254,6 +255,33 @@ class TestGoldenFixture:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == clean
 
 
+# the run options each subcommand reads; any other is a usage error
+INGEST_KEYS = [
+    "input", "granularity", "window_start", "window_end", "exclude",
+    "sex", "education", "residence", "category", "age_range", "max_malformed_fraction",
+]  # fmt: skip
+READS = {
+    "ingest-check": INGEST_KEYS,
+    "contrib": [*INGEST_KEYS, "catalog", "output_dir"],
+    "transitions": [*INGEST_KEYS, "catalog", "output_dir"],
+    "trajectories": [*INGEST_KEYS, "catalog", "output_dir"],
+    "drift": list(OPTIONS),
+    "predict": list(OPTIONS),
+}
+UNREAD = [(sub, key) for sub, keys in READS.items() for key in OPTIONS if key not in keys]
+# a value each option parses
+A_VALUE = {
+    "input": "events.csv", "catalog": "mapping.csv", "output_dir": "out",
+    "granularity": "week", "window_start": "2022-01-01", "window_end": "2022-06-30",
+    "exclude": "2022-02-01:2022-02-10", "sex": "female", "education": "higher",
+    "residence": "large_city", "category": "children", "age_range": "30-46",
+    "measure": "jsd_alpha", "alpha": "0.5", "estimator": "bootstrap", "resamples": "7",
+    "seed": "3", "jobs": "2", "top_k": "5", "max_malformed_fraction": "0.5",
+}  # fmt: skip
+# options given with the one that reads them, so that only the subcommand rejects them
+READ_WITH = {"alpha": ["measure"], "resamples": ["estimator"], "jobs": ["estimator"]}
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run("frobnicate") == 1
@@ -284,19 +312,38 @@ class TestExitCodes:
         assert err.rstrip().endswith("unknown config keys: top-k, granularty")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("subcommand", ["contrib", "transitions", "trajectories"])
+    @pytest.mark.parametrize("subcommand, key", UNREAD, ids=[f"{s}-{k}" for s, k in UNREAD])
     @pytest.mark.parametrize("where", ["flag", "config"])
-    def test_top_k_rejected_where_all_items_are_spanned(
-        self, tmp_path, capsys, subcommand, where
+    def test_option_the_subcommand_never_reads_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, subcommand, key, where
     ):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"input = {FIXTURE}\n" + ("top_k = 5\n" if where == "config" else ""))
-        flags = ("--top-k", "5") if where == "flag" else ()
-        code = run(subcommand, "--config", str(cfg), "--output-dir", str(tmp_path / "out"), *flags)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"{subcommand} spans all items; --top-k (config key top_k) is not accepted" in err
+        # the log does not exist: the option is rejected before it is read
+        monkeypatch.chdir(tmp_path)  # where "out" is also the default output directory
+        options = {k: A_VALUE[k] for k in (*READ_WITH.get(key, ()), key)}
+        argv = [subcommand, "--input", "absent.csv"]
+        if "output_dir" in READS[subcommand]:
+            argv += ["--output-dir", "out"]
+        if where == "flag":
+            for k, v in options.items():
+                argv += ["--" + k.replace("_", "-"), v]
+        else:
+            Path("run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in options.items()))
+            argv += ["--config", "run.cfg"]
+        assert run(*argv) == 1
+        name = "--" + key.replace("_", "-") if where == "flag" else key
+        assert name in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand", ["drift", "predict"])
+    def test_drift_and_predict_read_every_option(self, subcommand):
+        view = {"drift": ["local"], "predict": ["--source-year", "1", "--target-year", "2"]}
+        argv = [subcommand, *view[subcommand]]
+        for key, value in A_VALUE.items():
+            argv += ["--" + key.replace("_", "-"), value]
+        args = build_parser().parse_args(argv)
+        assert {key: getattr(args, key) for key in OPTIONS} == {
+            key: [value] if key == "exclude" else value for key, value in A_VALUE.items()
+        }
 
     @pytest.mark.parametrize(
         "argv",
@@ -583,15 +630,18 @@ class TestExitCodes:
         assert "alpha=1e+308: the power sums have no precision left" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("subcommand", [("ingest-check",), ("drift", "local")])
-    def test_undecodable_byte_names_file_and_row(self, tmp_path, capsys, subcommand):
+    @pytest.mark.parametrize(
+        "subcommand", [("ingest-check",), ("drift", "local", "--output-dir", "out")]
+    )
+    def test_undecodable_byte_names_file_and_row(self, tmp_path, monkeypatch, capsys, subcommand):
         lines = FIXTURE.read_bytes().splitlines(keepends=True)[:301]
         bad_row = 250  # data row with one stray Latin-1 byte in its title
         lines[bad_row] = lines[bad_row].replace(b",a", b",\xe9", 1)
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"".join(lines))
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "out"
-        assert run(*subcommand, "--input", str(path), "--output-dir", str(out)) == 2
+        assert run(*subcommand, "--input", str(path)) == 2
         err = capsys.readouterr().err
         match = re.search(r"undecodable byte 0xe9 after data row (\d+)", err)
         assert str(path) in err and match

@@ -262,6 +262,10 @@ class TestMeasureDispatch:
         # equal measures share a label
         assert Measure("jsd_alpha", -0.0) == Measure("jsd_alpha", 0.0)
         assert Measure("jsd_alpha", -0.0).label == "jsd_alpha_norm(0)"
+        assert Measure("jsd_alpha", 2.0).label == "jsd_alpha_norm(2)"
+        # unequal measures do not: both alphas print as 0.123457 under :g
+        assert Measure("jsd_alpha", 0.1234567).label == "jsd_alpha_norm(0.1234567)"
+        assert Measure("jsd_alpha", 0.1234571).label == "jsd_alpha_norm(0.1234571)"
 
     def test_dispatch(self):
         assert divergence_of(Measure("jsd"), POINT, HALF).value == jsd(POINT, HALF).value
