@@ -128,7 +128,7 @@ def _evaluate(
     """Estimate one pair, always oriented earlier-bin-first so every view agrees.
 
     Plug-in values come from the view's ``rows``; the bootstrap works on the
-    two count tables, since its resamples are drawn in their aligned order.
+    two count tables, as rows of their shared panel.
     Pairs run one after another in this process; only a pair's resamples
     are split over ``estimator.jobs`` processes.
     """

@@ -1,6 +1,7 @@
 """Command-line front end: ingestion, canonicalization, drift analyses, outputs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
+Each message is one stderr line, a library warning's `driftkit: warning: ...`.
 Each run option (`config.OPTIONS`) is a config-file key and a flag of the
 subcommands that read it (`_add_common`); anywhere else it is a usage error.
 `ingest-check` and the analysis subcommands read the log through one call
@@ -28,6 +29,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -435,6 +437,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"driftkit: {exc}", file=sys.stderr)
         return 1
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"driftkit: warning: {message}\n"
     try:
         return args.func(args)
     except (UsageError, ConfigError) as exc:
@@ -443,6 +447,8 @@ def main(argv=None) -> int:
     except (IngestError, DataError, ValueError, OSError) as exc:
         print(f"driftkit: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -27,9 +27,9 @@ caches each row's nonzero shares and side term, so a pair pays only for its
 pair term; the series and the matrix read it. ``pair`` divides just its two
 rows and gives their panel positions and aligned shares over the joint
 support, the items with a positive share on some side; the bootstrap draws
-its resamples over them. ``breakdown`` gives the pair's partials, ranked,
-with their exact sum; the decomposition views read it. The mapping API
-(``divergence_of``, the per-measure functions and
+its resamples over them, sorted by id. ``breakdown`` gives the pair's
+partials, ranked, with their exact sum; the decomposition views read it.
+The mapping API (``divergence_of``, the per-measure functions and
 ``jsd_with_contributions``) takes two plain mappings of item id to
 probability (``popularity.normalize``) as the two rows of a panel interned
 with totals 1.0, and reads them the same way. Every value sums
@@ -302,7 +302,7 @@ def divergence_of_arrays(measure: Measure, p: np.ndarray, q: np.ndarray) -> floa
     """``measure`` between two aligned probability vectors, summed with np.sum.
 
     Bootstrap resamples sum with np.sum, not ``exact_sum``: a pair's
-    resamples all come in one fixed aligned order, so exact summation buys
+    resamples all come in one fixed order, by id, so exact summation buys
     no order independence there, and it would make each resample of a
     2.8k-item pair about 1.2x slower (math.fsum: 1.4x; 2-core x86 host)
     and move the pinned bootstrap bits. Such a result agrees with
@@ -382,8 +382,8 @@ class BinRows:
 
         The items are row left's, in its order (one it lists with no loans
         keeps its place when row right has loans), then row right's others;
-        items with no loans in either row are dropped. The bootstrap's
-        multinomial categories come in this order.
+        items with no loans in either row are dropped. The bootstrap sorts
+        them by id before it draws; the breakdown ranks them.
         """
         ia, ib = self._panel.index[left], self._panel.index[right]
         p, q = _aligned(ia, self._full_row(left), ib, self._full_row(right), self._scratch)

@@ -6,8 +6,9 @@ correction resamples both sides from their empirical distributions, treats
 the mean resampled divergence minus the plug-in value as the bias estimate,
 and reports 2 * plugin - mean(resamples), clamped to [0, 1]. Resample b draws
 from its own child seed, ``SeedSequence(seed, spawn_key=(b,))`` (the b-th
-child that ``SeedSequence(seed).spawn`` gives), so results do not depend on
-execution order and are a pure function of (counts, n_resamples, seed).
+child that ``SeedSequence(seed).spawn`` gives), over each side's items in
+id order (``id_rank``), so results depend on neither execution order nor
+row or key order: they are a pure function of (counts, n_resamples, seed).
 
 That is what lets ``jobs`` split the resamples over processes: ``range
 (n_resamples)`` is cut into contiguous blocks, one per worker
@@ -23,9 +24,9 @@ The bootstrap reads the two tables as the two rows of one
 every view uses: its plug-in value comes from ``BinRows.value``
 (``exact_sum``, equal to ``plugin_divergence`` bit for bit) and the shares its
 resamples are drawn from, over the pair's joint support, from
-``BinRows.pair``. Each resample's value comes from ``divergence_of_arrays``
-(np.sum). All run the same kernel in divergence.py, so the bias correction
-subtracts like from like.
+``BinRows.pair``, sorted by id. Each resample's value comes from
+``divergence_of_arrays`` (np.sum). All run the same kernel in
+divergence.py, so the bias correction subtracts like from like.
 """
 
 from __future__ import annotations
@@ -104,11 +105,13 @@ def bootstrap_divergence(
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
 
-    rows = BinRows(measure, panel_of([A, B]))
-    _, pa, pb = rows.pair(0, 1)
+    panel = panel_of([A, B])
+    rows = BinRows(measure, panel)
+    union, pa, pb = rows.pair(0, 1)
     plugin = rows.value(0, 1)
 
-    draw = partial(_resample_block, measure, pa, pb, A.total, B.total, seed)
+    order = np.argsort(panel.id_rank[union])
+    draw = partial(_resample_block, measure, pa[order], pb[order], A.total, B.total, seed)
     workers = _fork.worker_count(jobs, n_resamples)
     edges = [n_resamples * k // workers for k in range(workers + 1)]
     values = np.concatenate(_fork.run_blocks(draw, list(zip(edges, edges[1:]))))
@@ -124,11 +127,15 @@ def _resample_block(
 ) -> np.ndarray:
     """Resamples lo..hi-1 of one pair: both sides redrawn from resample b's own seed."""
     values = np.empty(hi - lo, dtype=np.float64)
+    # each side draws over its own items only: a multinomial walks each category
+    on_a, on_b = np.flatnonzero(pa), np.flatnonzero(pb)
+    sa, sb = pa[on_a], pb[on_b]
+    ra, rb = np.zeros(len(pa)), np.zeros(len(pb))
     for b in range(lo, hi):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        ra = rng.multinomial(total_a, pa)
-        rb = rng.multinomial(total_b, pb)
-        values[b - lo] = divergence_of_arrays(measure, ra / total_a, rb / total_b)
+        ra[on_a] = rng.multinomial(total_a, sa) / total_a
+        rb[on_b] = rng.multinomial(total_b, sb) / total_b
+        values[b - lo] = divergence_of_arrays(measure, ra, rb)
     return values
 
 

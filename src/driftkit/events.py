@@ -1,10 +1,10 @@
 """Loan-log data model: time bins, cohort filters, and CSV ingestion.
 
-`ingest` is the one pass from CSV rows to per-bin counts: it checks each
+`ingest` is the one pass from CSV rows to per-bin loans: it checks each
 row, resolves each distinct date string once into its bin, window and
 exclusion status, applies the cohort (`CohortFilter.admits`, the one cohort
-rule) and counts the row's raw item key, by its code in the pass's one key
-table, into its bin's `BinTally`, with no per-row record. `open_table`
+rule) and appends the code of the row's raw item key in the pass's one key
+table to its bin's `BinTally`, with no other per-row record. `open_table`
 opens every input table (log, catalog, items table); `find_bin` finds a
 bin by name.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import date, timedelta
@@ -281,19 +282,19 @@ _BAD = object()  # cache entry of a date or birthdate string that does not parse
 
 @dataclass(slots=True)
 class BinTally:
-    """Raw item-key loan counts of one time bin, from one ingestion pass.
+    """The raw item keys loaned in one time bin, from one ingestion pass.
 
-    ``rows`` counts the accepted rows dated in the bin; ``counts`` holds the
-    ones the cohort (labelled ``cohort``) admitted, by item key code in the
-    order first counted in the bin: code ``c`` is the raw item key ``keys[c]``
-    of the pass's key table, which all its tallies share. ``skipped`` says
-    why other rows were not admitted.
+    ``rows`` counts the accepted rows dated in the bin; ``codes`` holds the
+    item key code of each one the cohort (labelled ``cohort``) admitted, in
+    no meaningful order: code ``c`` is the raw item key ``keys[c]`` of the
+    pass's key table, which all its tallies share. ``skipped`` says why
+    other rows were not admitted.
     """
 
     bin: TimeBin
     cohort: str
     keys: list[str]
-    counts: Counter = field(default_factory=Counter)
+    codes: array = field(default_factory=lambda: array("q"))
     rows: int = 0
     skipped: Counter = field(default_factory=Counter)
 
@@ -376,7 +377,7 @@ def ingest(
     granularity: str = "month",
     cohort: CohortFilter = EVERYONE,
 ) -> tuple[Iterator[BinTally], IngestReport]:
-    """Tally a delimited loan log into per-bin counts of raw item keys, in one pass.
+    """Tally a delimited loan log into per-bin raw item key codes, in one pass.
 
     Returns the tally iterator and a report that is complete once the
     iterator is exhausted. Each row is checked in this order, and the first
@@ -527,7 +528,7 @@ def _tally_stream(handle, reader, columns, window, exclude, max_bad, granularity
             tally.rows += 1
             if admits is not None and not admits(d, birth, *demo[1], tally.skipped):
                 continue
-            tally.counts[codes.setdefault(key, len(codes))] += 1
+            tally.codes.append(codes.setdefault(key, len(codes)))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise _read_error(report.path, rows, exc) from exc
     finally:

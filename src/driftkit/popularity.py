@@ -8,7 +8,7 @@ distributions from arrays as rows of one `CountPanel`: each item id is
 held once, its rank in Python string order is computed once, and each bin
 is an int index array into the ids plus its counts and total. A producer-built
 distribution's ``counts`` is a read-only mapping view of its row
-(`RowCounts`), iterating in the bin's own item order; a distribution built
+(`RowCounts`), in the row's order, which no result depends on; one built
 by hand from a plain mapping works everywhere too. Every consumer gets its
 panel from one function, `panel_of`, which returns the shared panel, or
 interns a list of hand-built distributions once. The views read relative
@@ -46,12 +46,12 @@ class CountPanel:
     """Loan counts of several bins over one interned list of item ids.
 
     ``ids`` is an object array of the item ids; ``id_rank`` orders them as
-    Python strings (with gaps in a panel cut from another), the id
-    tie-break of `rank`, computed once, on first use. The rows are stored
-    end to end: ``all_index`` holds positions into ``ids`` and
+    Python strings, the id tie-break of `rank`, computed once, on first use,
+    and handed down to each panel `select` cuts (with gaps there). The rows
+    are stored end to end: ``all_index`` holds positions into ``ids`` and
     ``all_counts`` their counts, and row r is the slice
     ``offsets[r]:offsets[r + 1]`` of both. Row r is one bin: ``index[r]``
-    and ``counts[r]`` are its slices, in the bin's own item order, and
+    and ``counts[r]`` are its slices, in an order no result depends on, and
     ``totals[r]`` is its loan total. Every array is read-only, so no row
     can drift from the distributions built on it. A panel pickles as one
     object, so the rows of one panel still share it after a round trip.
@@ -114,7 +114,7 @@ class CountPanel:
             np.concatenate([self.counts[r] for r in rows]),
             [len(self.index[r]) for r in rows],
             [self.totals[r] for r in rows],
-            self._id_rank,
+            self.id_rank,
         )
 
     def rank(self, positions: np.ndarray, *keys: np.ndarray) -> np.ndarray:
@@ -189,7 +189,7 @@ class PositionMap(Mapping):
 
 
 class RowCounts(PositionMap):
-    """One panel row as a read-only mapping of item id to count, in the row's item order."""
+    """One panel row as a read-only mapping of item id to count, in the row's order."""
 
     __slots__ = ("panel", "row")
 
@@ -264,11 +264,11 @@ def aggregate(
 
     Each key of the pass's key table is mapped through the catalog once;
     keys missing from it (all keys, with no catalog) are their own canonical
-    id, and their loans (none, with no catalog) are counted in the report. A
-    bin's keys of one id are summed at the first one's place. Returns the
-    distributions in the tallies' order, which `ingest` makes bin order, as
-    rows of one panel, ids in first-count order; the list is empty when no
-    row matched, which the caller reports. Tallies of two passes raise ValueError.
+    id, and their loans (none, with no catalog) are counted in the report.
+    Returns the distributions in the tallies' order, which `ingest` makes
+    bin order, as rows of one panel, ids numbered in key-code order (each
+    row lists its ids in that order); the list is empty when no row
+    matched, which the caller reports. Tallies of two passes raise ValueError.
     """
     report = AggregateReport()
     tallies = list(tallies)
@@ -278,39 +278,24 @@ def aggregate(
             raise ValueError("the tallies come from more than one ingest pass")
         report.events_seen += tally.rows
         report.skipped.update(tally.skipped)
-    tallies = [tally for tally in tallies if tally.counts]
+    tallies = [tally for tally in tallies if tally.codes]
+    if not tallies:
+        return [], report
 
-    raw = np.array(keys, dtype=object)
-    cid = raw if catalog is None else np.array([*map(catalog.mapping.get, keys)], dtype=object)
-    unknown = np.equal(cid, None)
-    cid[unknown] = raw[unknown]
-    # only the keys a catalog renames, and the keys named as one of their ids, can
-    # share an id; ``lead`` is the code of the first key with each key's id
-    shared = cid != raw
-    shared |= np.fromiter(map(set(cid[shared]).__contains__, keys), bool, len(keys))
-    lead = np.arange(len(keys))
-    first: dict[str, int] = {}
-    sharing = np.flatnonzero(shared).tolist()
-    lead[sharing] = list(map(first.setdefault, cid[sharing].tolist(), sharing))
-
-    sizes = [len(tally.counts) for tally in tallies]
-    n = sum(sizes)
-    codes = np.fromiter(chain.from_iterable(t.counts for t in tallies), np.intp, n)
-    loans = np.fromiter(chain.from_iterable(t.counts.values() for t in tallies), np.int64, n)
-    totals = [sum(tally.counts.values()) for tally in tallies]
-    report.matched, report.unknown_keys = sum(totals), int(loans[unknown[codes]].sum())
-    # a bin counts each id once, at its first key's place: sum the shared keys'
-    # cells there (float64 sums of loan counts are exact below 2**53)
-    rows = np.repeat(np.arange(len(tallies)), sizes)
-    kept = ~shared[codes]
-    meet = np.flatnonzero(~kept)
-    pair = rows[meet] * len(keys) + lead[codes[meet]]
-    _, at, cell = np.unique(pair, return_index=True, return_inverse=True)
-    kept[meet[at]] = True
-    loans[meet[at]] = np.bincount(cell, weights=loans[meet])
-    leads = lead == np.arange(len(keys))
-    index = (np.cumsum(leads) - 1)[lead[codes[kept]]]
-    panel = CountPanel(cid[leads], index, loans[kept], np.bincount(rows[kept]), totals)
+    mapping = {} if catalog is None else catalog.mapping
+    ids: dict[str, int] = {}
+    id_of = np.fromiter((ids.setdefault(mapping.get(k, k), len(ids)) for k in keys), np.intp)
+    unknown = np.fromiter((catalog is not None and k not in mapping for k in keys), bool, len(keys))
+    index, loans, totals = [], [], []
+    for tally in tallies:  # a bin's loans per id, one bin at a time
+        report.unknown_keys += int(np.count_nonzero(unknown[tally.codes]))
+        cells = np.bincount(id_of[tally.codes])
+        index.append(np.flatnonzero(cells))
+        loans.append(cells[index[-1]])
+        totals.append(len(tally.codes))
+    report.matched = sum(totals)
+    sizes = list(map(len, index))
+    panel = CountPanel(list(ids), np.concatenate(index), np.concatenate(loans), sizes, totals)
     return on_panel(panel, [(tally.bin, tally.cohort) for tally in tallies]), report
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
@@ -142,14 +143,18 @@ def _events(handle, reader, columns, window, exclude, max_bad, report):
 def tallies_of(dists) -> list[events.BinTally]:
     """One hand-built ingest pass: a `BinTally` per distribution, over one shared key table.
 
-    Each tally counts its distribution's items by code, in the distribution's
-    item order, with the distribution's total as its rows.
+    Each tally holds its distribution's item codes, each repeated by its
+    count, with the distribution's total as its rows.
     """
     keys = list(dict.fromkeys(key for d in dists for key in d.counts))
     code = {key: c for c, key in enumerate(keys)}
     return [
         events.BinTally(
-            d.bin, d.cohort, keys, Counter({code[k]: n for k, n in d.counts.items()}), d.total
+            d.bin,
+            d.cohort,
+            keys,
+            array("q", [code[k] for k, n in d.counts.items() for _ in range(n)]),
+            d.total,
         )
         for d in dists
     ]

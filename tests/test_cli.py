@@ -24,6 +24,16 @@ def run(*argv):
     return main(list(argv))
 
 
+def run_module(*argv):
+    """``python -m driftkit`` with the given arguments, in a child process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "driftkit", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 # each command that writes files: its argv writing into directory `out`, the
 # tabular writer a test breaks, and flags that change the bytes it writes
 WRITING_RUNS = {
@@ -555,16 +565,33 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "driftkit", "drift", "local", "--input", str(FIXTURE),
-             "--window-start", "2099-01-01", "--window-end", "2099-12-31"],
-            capture_output=True, text=True, env=env, timeout=60,
+        proc = run_module(
+            "drift", "local", "--input", str(FIXTURE),
+            "--window-start", "2099-01-01", "--window-end", "2099-12-31",
         )
         assert proc.returncode == 2
         assert proc.stderr == "driftkit: no events matched the window and cohort filters\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("drift", "local", "--measure", "jsd_alpha", "--alpha", "3"), "alpha=3 outside [0, 2]"),
+            (
+                ("predict", "--source-year", "2022", "--target-year", "2023"),
+                "no source value for calendar position of 2023-01-01",
+            ),
+        ],
+        ids=["alpha", "predict"],
+    )
+    def test_library_warning_is_one_driftkit_line(self, static_log, tmp_path, argv, message):
+        log = FIXTURE if argv[0] == "drift" else static_log
+        out = tmp_path / "out"
+        proc = run_module(*argv, "--input", str(log), "--output-dir", str(out))
+        assert proc.returncode == 0
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"driftkit: warning: {message}")
+        assert ".py:" not in line
+        assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "kind, role", [("local", "the first bin"), ("global", "the baseline")], ids=["local", "global"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftkit.divergence import Measure
 from driftkit.estimators import (
@@ -115,6 +117,29 @@ class TestBootstrap:
             est = bootstrap_divergence(a, b, measure, n_resamples=50, seed=3)
             assert isinstance(est, BootstrapEstimate)
             assert 0.0 <= est.corrected_value <= 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        loans=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=9)
+        .filter(lambda rows: any(a for a, _ in rows) and any(b for _, b in rows)),
+        orders=st.tuples(st.randoms(use_true_random=False), st.randoms(use_true_random=False)),
+        measure=st.sampled_from([Measure("jsd"), Measure("jsd_alpha", 0.5), Measure("jaccard")]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_do_not_depend_on_the_key_order(self, loans, orders, measure, seed):
+        # the resamples are drawn in id order, so only the counts matter
+        items = list(zip(["i10", "i2", "Z", "\u00e9", "a b", "i1", "K,4", "0", "i"], loans))
+        tables = [{k: c[side] for k, c in items if c[side]} for side in (0, 1)]
+        shuffled = []
+        for table, order in zip(tables, orders):
+            keys = list(table)
+            order.shuffle(keys)
+            shuffled.append({k: table[k] for k in keys})
+        a, b = (dist(t, month=m) for m, t in enumerate(tables, 1))
+        sa, sb = (dist(t, month=m) for m, t in enumerate(shuffled, 1))
+        assert bootstrap_divergence(sa, sb, measure, 20, seed) == bootstrap_divergence(
+            a, b, measure, 20, seed
+        )
 
 
 class TestEstimatorSpec:

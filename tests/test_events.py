@@ -126,7 +126,7 @@ def accepted_rows(stream):
 
 def raw_counts(tally):
     """A tally's counts by raw item key, read through its pass's key table."""
-    return {tally.keys[code]: n for code, n in tally.counts.items()}
+    return dict(Counter(tally.keys[code] for code in tally.codes))
 
 
 class TestIngest:

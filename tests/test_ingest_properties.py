@@ -3,17 +3,18 @@
 `ingest` plus `aggregate` must give what the per-row reference reader
 (`reference.read_events`) gives when its events are filtered by `matches`, binned by
 `assign_bin` and mapped through the catalog one by one: the same
-distributions, with the same bin order and the same item order within each
-bin, the same `IngestReport` and `AggregateReport`, and the same abort when
-too many rows are malformed. The tallies themselves must share one key
-table, numbered in the order each key was first counted, and count each
-bin's raw keys in the order of their first loan in that bin. The fuzzed
-logs mix quoted commas, CRLF line ends, short rows, bad and out-of-order
-birthdates, unknown enum values, dates on window and exclusion edges, and
-permuted or missing optional columns.
+distributions, with the same bin order and the panel's ids in the order the
+pass first counted each id, the same `IngestReport` and `AggregateReport`,
+and the same abort when too many rows are malformed. The order of a bin's
+items is no contract. The tallies themselves must share one key table,
+numbered in the order each key was first counted, and hold each bin's raw
+key loans. The fuzzed logs mix quoted commas, CRLF line ends, short rows,
+bad and out-of-order birthdates, unknown enum values, dates on window and
+exclusion edges, and permuted or missing optional columns.
 """
 
 import csv
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
@@ -69,7 +70,7 @@ def reference(path, granularity, cohort, catalog, **options):
     """The per-row path: `read_events`, then `matches`, `assign_bin` and the catalog per event."""
     events, ingest_report = read_events(path, **options)
     report = AggregateReport()
-    per_bin, raw_per_bin, counted = {}, {}, []
+    per_bin, raw_per_bin, counted, ids = {}, {}, [], []
     try:
         for ev in events:
             report.events_seen += 1
@@ -83,6 +84,7 @@ def reference(path, granularity, cohort, catalog, **options):
                 if cid is None:
                     report.unknown_keys += 1
                     cid = ev.item_key
+            ids.append(cid)
             tb = assign_bin(ev.date, granularity)
             counts = per_bin.setdefault(tb, {})
             counts[cid] = counts.get(cid, 0) + 1
@@ -94,8 +96,9 @@ def reference(path, granularity, cohort, catalog, **options):
         PopularityDistribution(tb, cohort.label, counts, sum(counts.values()))
         for tb, counts in sorted(per_bin.items(), key=lambda kv: kv[0].index)
     ]
-    raw_counts = [list(raw_per_bin[d.bin].items()) for d in dists]
-    return dists, ingest_report, report, (list(dict.fromkeys(counted)), raw_counts)
+    raw_counts = [raw_per_bin[d.bin] for d in dists]
+    first_counted = list(dict.fromkeys(counted)), list(dict.fromkeys(ids))
+    return dists, ingest_report, report, (*first_counted, raw_counts)
 
 
 def tallied(path, granularity, cohort, catalog, **options):
@@ -107,24 +110,20 @@ def tallied(path, granularity, cohort, catalog, **options):
         return (str(exc), ingest_report, None, None), []
     dists, report = aggregate(tallies, catalog)
     keys = tallies[0].keys if tallies else []
-    raw_counts = [[(keys[c], n) for c, n in t.counts.items()] for t in tallies if t.counts]
-    return (dists, ingest_report, report, (keys, raw_counts)), tallies
+    ids = dists[0].counts.panel.ids.tolist() if dists else []
+    raw_counts = [dict(Counter(keys[c] for c in t.codes)) for t in tallies if t.codes]
+    return (dists, ingest_report, report, (keys, ids, raw_counts)), tallies
 
 
 def assert_same(path, granularity="month", cohort=EVERYONE, catalog=None, **options):
     want = reference(path, granularity, cohort, catalog, **options)
     got, tallies = tallied(path, granularity, cohort, catalog, **options)
-    assert got == want  # with the key table in first-count order, and each bin's raw keys
-    dists = got[0]
-    if not isinstance(dists, str):  # item order within each bin, too
-        assert [list(d.counts.items()) for d in dists] == [
-            list(d.counts.items()) for d in want[0]
-        ]
+    assert got == want  # with the key table and the ids in first-count order
     if tallies:  # one key table per pass, coded 0..n-1 with no key twice
         keys = tallies[0].keys
         assert all(tally.keys is keys for tally in tallies)
         assert len(set(keys)) == len(keys)
-        assert set().union(*(tally.counts for tally in tallies)) == set(range(len(keys)))
+        assert set().union(*(tally.codes for tally in tallies)) == set(range(len(keys)))
     report = got[1]
     skipped = report.out_of_window + report.excluded + report.malformed
     assert report.rows == report.accepted + skipped
